@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ParseError, StepBudgetExceeded
@@ -372,6 +373,16 @@ class StepBudget:
             raise StepBudgetExceeded("reduction step budget exhausted")
 
 
+# Negated order keys: heapq pops its least entry, which is then the largest
+# monomial under the order.
+def _lex_heap_key(m: Mono):
+    return (-m[2], -m[1], -m[0])
+
+
+def _grlex_heap_key(m: Mono):
+    return (-m[0] - m[1] - m[2], -m[2], -m[1], -m[0])
+
+
 def divide_multivariate(p: Poly, divisors: Sequence[Poly],
                         order: MonomialOrder = MonomialOrder.LEX,
                         budget: StepBudget | None = None):
@@ -382,36 +393,56 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
     divisible by any divisor's leading monomial.  Each step reduces by the
     earliest-listed divisor whose leading monomial divides the current
     leading term, so the result is deterministic in the divisor order.
+    Every leading term processed spends one step of budget.
+
+    The dividend is kept as a {monomial: coefficient} dict with a heap of
+    its monomials (heap division, Monagan & Pearce 2007), so a step costs
+    the divisor's tail, not a re-sort of the whole dividend.
     """
     divisors = list(divisors)
     if not divisors:
         raise ValueError("divisors must be nonempty")
     if any(d.is_zero() for d in divisors):
         raise ValueError("cannot divide by the zero polynomial")
-    lts = [d.leading_term(order) for d in divisors]
+    heap_key = _lex_heap_key if order is MonomialOrder.LEX else _grlex_heap_key
+    heads = []
+    for d in divisors:
+        dm, dc = d.leading_term(order)
+        heads.append((dm, dc, [t for t in d.terms if t[0] != dm]))
     quotients: list[dict] = [{} for _ in divisors]
-    rem_terms: list = []
-    cur = p
-    while not cur.is_zero():
+    rem: dict = {}
+    acc = dict(p.terms)
+    heap = [(heap_key(m), m) for m in acc]
+    heapify(heap)
+    while heap:
+        lm = heappop(heap)[1]
+        # a popped monomial is never recreated: later steps only touch
+        # monomials below it, so it leaves the dict for good
+        lc = acc.pop(lm)
+        if not lc:
+            continue
         if budget is not None:
             budget.spend()
-        lm, lc = cur.leading_term(order)
-        for i, (dm, dc) in enumerate(lts):
+        for i, (dm, dc, tail) in enumerate(heads):
             if mono_divides(dm, lm):
                 qm = mono_div(lm, dm)
                 qc = lc / dc
-                q = quotients[i]
-                q[qm] = q.get(qm, Fraction(0)) + qc
-                cur = cur - Poly._raw(((qm, qc),)) * divisors[i]
+                # leading monomials only fall, so qm is new to this quotient
+                quotients[i][qm] = qc
+                q0, q1, q2 = qm
+                for (t0, t1, t2), tc in tail:
+                    m = (q0 + t0, q1 + t1, q2 + t2)
+                    v = acc.get(m)
+                    if v is None:
+                        acc[m] = -(qc * tc)
+                        heappush(heap, (heap_key(m), m))
+                    else:
+                        # may cancel to zero; the heap entry is skipped when popped
+                        acc[m] = v - qc * tc
                 break
         else:
-            rem_terms.append((lm, lc))
-            if order is MonomialOrder.LEX:
-                # canonical storage is descending lex, so terms[0] is lm
-                cur = Poly._raw(cur.terms[1:])
-            else:
-                cur = cur - Poly._raw(((lm, lc),))
-    return [Poly._from_dict(q) for q in quotients], Poly(rem_terms)
+            rem[lm] = lc
+    return [Poly._from_dict(q) for q in quotients], Poly._from_dict(rem)
 
 
 def gcd_univariate(p: Poly, q: Poly, var: str = "x") -> Poly:
@@ -429,6 +460,11 @@ def gcd_univariate(p: Poly, q: Poly, var: str = "x") -> Poly:
 
 
 # -- parsing ----------------------------------------------------------------
+
+# Deepest parenthesis nesting the recursive-descent parser accepts; each
+# level costs four Python frames, so deeper text would hit the interpreter's
+# recursion limit instead of failing with a ParseError.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -464,6 +500,7 @@ class _PolyParser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -539,8 +576,12 @@ class _PolyParser:
         if kind == "var":
             return Poly.variable(text)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         raise ParseError(f"unexpected {text!r} in polynomial text")
 

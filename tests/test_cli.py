@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -41,6 +42,13 @@ def test_parse_error_exits_2():
     assert code == 2 and doc["error"]["code"] == "parse_error"
     code, doc, _ = run_cli("check", "--curve", "circle x^2 + y^2 - 1")
     assert code == 2
+
+
+def test_deep_nesting_exits_2():
+    target = "(" * 3000 + "x" + ")" * 3000
+    code, doc, err = run_cli("decompose", "--curve=line", f"--target={target}")
+    assert code == 2 and doc["error"]["code"] == "parse_error"
+    assert "Traceback" not in err
 
 
 def test_step_budget_exits_4():
@@ -142,3 +150,15 @@ def test_json_output_deterministic():
     second = subprocess.run(_BASE + list(args), capture_output=True, text=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["verification"] is True
+
+
+def test_json_output_independent_of_hash_seed():
+    cases = (("decompose", "--curve", "plane y^2 - x^5 - x", "--target", "x^3*y + x*y + 3"),
+             ("decompose", "--curve", "space y^2 - x^3 - x; z tau 2y, 3x^2 + 1, 0",
+              "--target", "x^2*y + z + 1"))
+    for args in cases:
+        outs = [subprocess.run(_BASE + list(args), capture_output=True, text=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                for seed in ("0", "1")]
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["verification"] is True

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bracketdec.errors import ParseError, StepBudgetExceeded
 from bracketdec.poly import (
+    MAX_NESTING,
     MonomialOrder,
     Poly,
     StepBudget,
@@ -14,6 +15,8 @@ from bracketdec.poly import (
     apply_derivation,
     divide_multivariate,
     gcd_univariate,
+    mono_div,
+    mono_divides,
     parse_poly,
     partial_derivative,
 )
@@ -52,13 +55,19 @@ def test_parse_basic():
     assert parse_poly("1/2x") == parse_poly("x") * Fraction(1, 2)
     assert parse_poly("-x") == -Poly.variable("x")
     assert parse_poly("0").is_zero()
+    assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse_poly("x")
 
 
 def test_parse_unicode_minus():
     assert parse_poly("y^2 − x") == parse_poly("y^2 - x")
 
 
-@pytest.mark.parametrize("bad", ["", "w", "x^", "x^-1", "3/0", "(x", "x )", "1//2", "x / 2"])
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+@pytest.mark.parametrize("bad", ["", "w", "x^", "x^-1", "3/0", "(x", "x )", "1//2", "x / 2",
+                                 _nested(MAX_NESTING + 1), _nested(3000)])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_poly(bad)
@@ -212,6 +221,77 @@ def test_divide_reconstruction_random(order, rand_poly):
         for mono, _ in rem.terms:
             assert not any(lm[0] <= mono[0] and lm[1] <= mono[1] and lm[2] <= mono[2]
                            for lm in lms)
+
+
+def _schoolbook_divide(p, divisors, order=LEX, budget=None):
+    """Reference division: re-sort the whole dividend on every step."""
+    divisors = list(divisors)
+    if not divisors:
+        raise ValueError("divisors must be nonempty")
+    if any(d.is_zero() for d in divisors):
+        raise ValueError("cannot divide by the zero polynomial")
+    lts = [d.leading_term(order) for d in divisors]
+    quotients: list[dict] = [{} for _ in divisors]
+    rem_terms: list = []
+    cur = p
+    while not cur.is_zero():
+        if budget is not None:
+            budget.spend()
+        lm, lc = cur.leading_term(order)
+        for i, (dm, dc) in enumerate(lts):
+            if mono_divides(dm, lm):
+                qm = mono_div(lm, dm)
+                qc = lc / dc
+                q = quotients[i]
+                q[qm] = q.get(qm, Fraction(0)) + qc
+                cur = cur - Poly._raw(((qm, qc),)) * divisors[i]
+                break
+        else:
+            rem_terms.append((lm, lc))
+            if order is MonomialOrder.LEX:
+                # canonical storage is descending lex, so terms[0] is lm
+                cur = Poly._raw(cur.terms[1:])
+            else:
+                cur = cur - Poly._raw(((lm, lc),))
+    return [Poly._from_dict(q) for q in quotients], Poly(rem_terms)
+
+
+def _assert_divides_like_reference(p, divisors, order):
+    budget, ref_budget = StepBudget(10**6), StepBudget(10**6)
+    qs, rem = divide_multivariate(p, divisors, order, budget)
+    ref_qs, ref_rem = _schoolbook_divide(p, divisors, order, ref_budget)
+    assert [q.terms for q in qs] == [q.terms for q in ref_qs]
+    assert rem.terms == ref_rem.terms
+    assert budget.remaining == ref_budget.remaining
+    return 10**6 - budget.remaining
+
+
+def test_divide_cancel_and_recreate():
+    # x*y^2 goes first and cancels x*y; reducing y^2 then recreates it
+    p = parse_poly("x*y^2 + y^2 + x*y")
+    d = parse_poly("y + x + 1")
+    qs, rem = divide_multivariate(p, [d], LEX)
+    assert qs[0] == parse_poly("x*y + y - x^2 - x - 1")
+    assert rem == parse_poly("x^3 + 2x^2 + 2x + 1")
+    assert _assert_divides_like_reference(p, [d], LEX) == 9
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX])
+def test_divide_matches_reference(order, rand_poly):
+    rng = random.Random(7005 if order is LEX else 7006)
+    variables = ("x", "y", "z")
+    for _ in range(300):
+        divisors = [rand_poly(rng, variables=variables, max_degree=3, max_terms=4, nonzero=True)
+                    for _ in range(rng.randint(1, 4))]
+        # multiples of the divisors plus noise: reduction steps cancel
+        # dividend terms, and later steps recreate some of them
+        p = rand_poly(rng, variables=variables, max_degree=4)
+        for d in divisors:
+            p = p + rand_poly(rng, variables=variables, max_degree=2, max_terms=3) * d
+        steps = _assert_divides_like_reference(p, divisors, order)
+        if steps:
+            with pytest.raises(StepBudgetExceeded):
+                divide_multivariate(p, divisors, order, StepBudget(steps - 1))
 
 
 def test_divide_budget():
