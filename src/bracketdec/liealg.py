@@ -91,11 +91,20 @@ def apply_tau(curve: Curve, elem: Element) -> Element:
 
 
 def bracket(u: VField, v: VField) -> VField:
-    """[u, v] = (a tau(b) - b tau(a)) tau for u = a tau, v = b tau."""
+    """[u, v] = (a tau(b) - b tau(a)) tau for u = a tau, v = b tau.
+
+    On plane and space curves the coefficient is computed on the lifts and
+    reduced once: normal forms are linear and unique, so this equals the
+    product of the reduced factors.
+    """
     if u.curve != v.curve:
         raise CurveMismatch("vector fields live on different curves")
     c = u.curve
     a, b = u.coeff, v.coeff
+    if isinstance(c, (PlaneCurve, SpaceCurve)):
+        comps = c.tau_components
+        return VField(c.reduce(a.poly * apply_derivation(comps, b.poly)
+                               - b.poly * apply_derivation(comps, a.poly)))
     return VField(a * apply_tau(c, b) - b * apply_tau(c, a))
 
 

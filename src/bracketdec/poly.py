@@ -253,15 +253,7 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = _ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Poly.__mul__)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -305,6 +297,18 @@ class Poly:
 
 _ZERO = Poly._raw(())
 _ONE = Poly._raw((((0, 0, 0), Fraction(1)),))
+
+
+def _power(base: Poly, e: int, mul) -> Poly:
+    """base^e by repeated squaring, every product taken by mul(a, b)."""
+    result = _ONE
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 def _format_mono(mono: Mono) -> str:
@@ -466,6 +470,12 @@ def gcd_univariate(p: Poly, q: Poly, var: str = "x") -> Poly:
 # recursion limit instead of failing with a ParseError.
 MAX_NESTING = 100
 
+# Most coefficient products one polynomial text may cost to parse: every
+# product and power step charges len(a.terms) * len(b.terms).  The step
+# budget bounds only division, so without this a short text such as
+# (x+1)^3000 could run unbounded; (x+1)^600 costs about 136,000.
+MAX_PARSE_PRODUCTS = 200_000
+
 
 def _tokenize(text: str):
     text = text.replace("−", "-").replace("·", "*")
@@ -501,6 +511,7 @@ class _PolyParser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.products = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -516,6 +527,14 @@ class _PolyParser:
         if self.peek() != kind:
             raise ParseError(f"expected {kind!r} at token {self.pos}")
         return self.take()
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        self.products += len(a.terms) * len(b.terms)
+        if self.products > MAX_PARSE_PRODUCTS:
+            raise StepBudgetExceeded(
+                f"parse phase: polynomial text needs more than {MAX_PARSE_PRODUCTS} "
+                "coefficient products to expand")
+        return a * b
 
     def parse(self) -> Poly:
         e = self.expr()
@@ -542,10 +561,10 @@ class _PolyParser:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                acc = acc * self.factor()
+                acc = self.mul(acc, self.factor())
             elif nxt in ("int", "var", "("):
                 # juxtaposition multiplies: 2xy, 3(x+1)
-                acc = acc * self.factor()
+                acc = self.mul(acc, self.factor())
             else:
                 return acc
 
@@ -556,7 +575,7 @@ class _PolyParser:
             kind, text = self.take() if self.pos < len(self.tokens) else (None, "")
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            base = base ** int(text)
+            base = _power(base, int(text), self.mul)
         return base
 
     def atom(self) -> Poly:

@@ -57,6 +57,18 @@ def test_step_budget_exits_4():
     assert code == 4 and doc["error"]["code"] == "step_budget_exceeded"
 
 
+def test_parse_products_bounded_exits_4():
+    # the step budget does not reach parsing; the parser's own product bound
+    # stops (x+1)^3000 long before it expands
+    proc = subprocess.run(_BASE + ["decompose", "--curve", "line",
+                                   "--target", "(x+1)^3000", "--max-steps", "10"],
+                          capture_output=True, text=True, timeout=20)
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
+    assert doc["error"]["message"].startswith("parse phase")
+    assert "Traceback" not in proc.stderr
+
+
 def test_decompose_plane():
     code, doc, _ = run_cli("decompose", "--curve", "plane y^2 - x^3 - x",
                            "--target", "1")

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from test_acceptance import _plane_corpus, _space_corpus
 
+import bracketdec.decompose as dec
 from bracketdec.curve import AffineLine, LocalizedLine, make_plane_curve, make_space_curve
 from bracketdec.decompose import (
     localize_decomp,
@@ -11,8 +13,8 @@ from bracketdec.decompose import (
     three_bracket_space,
     two_bracket_plane,
 )
-from bracketdec.errors import CurveMismatch
-from bracketdec.groebner import certificate_from_basis
+from bracketdec.errors import CertificateFailure, CurveMismatch
+from bracketdec.groebner import buchberger, certificate_from_basis
 from bracketdec.liealg import BracketDecomp, VField, recombine
 from bracketdec.poly import Poly, parse_poly, partial_derivative
 
@@ -169,6 +171,67 @@ def test_three_bracket_space_trace():
     d = three_bracket_space(c, c.reduce(parse_poly("x")), trace=True)
     assert len(d.trace["membership_cofactors"]) == 5
     assert "h" in d.trace
+
+
+# -- the shared certificate construction ----------------------------------------------
+
+def test_trace_cofactors_match_basis_certificate(rand_poly):
+    # the cofactors are the target times the stored unit row, which is what a
+    # division by the basis (1) gives
+    rng = random.Random(9207)
+    corpus = [(c, ("x", "y"), two_bracket_plane) for c in _plane_corpus()]
+    corpus += [(c, ("x", "y", "z"), three_bracket_space) for c in _space_corpus()]
+    for curve, variables, decompose in corpus:
+        for _ in range(10):
+            target = curve.reduce(rand_poly(rng, variables=variables, max_degree=6,
+                                            nonzero=True))
+            if target.is_zero():
+                continue
+            cert = certificate_from_basis(target.poly, curve.decomposition_basis())
+            trace = decompose(curve, target, trace=True).trace
+            assert trace["membership_cofactors"] == [str(c) for c in cert.cofactors]
+            assert trace["membership_generators"] == [str(g) for g in cert.generators]
+
+
+def test_each_bracket_computed_once(monkeypatch, rand_poly):
+    calls = {"bracket": 0, "recombine": 0}
+
+    def counting(name):
+        fn = getattr(dec, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(dec, "bracket", counting("bracket"))
+    monkeypatch.setattr(dec, "recombine", counting("recombine"))
+    rng = random.Random(9208)
+    cases = ((plane(), ("x", "y"), 2, two_bracket_plane),
+             (twisted_cubic(), ("x", "y", "z"), 3, three_bracket_space))
+    for curve, variables, lifts, decompose in cases:
+        for _ in range(10):
+            target = curve.reduce(rand_poly(rng, variables=variables, max_degree=5,
+                                            nonzero=True))
+            if target.is_zero():
+                continue
+            calls.update(bracket=0, recombine=0)
+            decompose(curve, target)
+            assert calls == {"bracket": lifts, "recombine": 0}
+    f = parse_poly("x^2 - 1")
+    loc = LocalizedLine(f)
+    for m in range(4):
+        calls.update(recombine=0)
+        rational_decompose(f, loc.elem(parse_poly("x + 3"), m))
+        assert calls["recombine"] == 1
+
+
+def test_non_unit_decomposition_basis_fails(monkeypatch):
+    c = plane()
+    monkeypatch.setattr(c, "decomposition_basis",
+                        lambda: buchberger([Poly.variable("x")]))
+    with pytest.raises(CertificateFailure):
+        two_bracket_plane(c, c.one())
 
 
 # -- localization ----------------------------------------------------------------------

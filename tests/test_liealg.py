@@ -6,7 +6,7 @@ import pytest
 from bracketdec.curve import AffineLine, LocalizedLine, make_plane_curve, make_space_curve
 from bracketdec.errors import CurveMismatch
 from bracketdec.liealg import BracketDecomp, VField, apply_tau, bracket, recombine
-from bracketdec.poly import Poly, parse_poly
+from bracketdec.poly import MonomialOrder, Poly, parse_poly
 
 
 def plane():
@@ -84,6 +84,23 @@ def test_bracket_formula_on_plane():
     f = VField(c.reduce(parse_poly("x")))
     # [tau, f tau] = tau(f) tau
     assert bracket(one, f) == VField(apply_tau(c, f.coeff))
+
+
+def test_bracket_matches_reduced_product_formula(rand_poly):
+    # bracket reduces a tau(b) - b tau(a) once, on the lifts; the old formula
+    # reduces tau(a), tau(b) and both products separately
+    cases = [(make_plane_curve(parse_poly("y^2 - x^3 - x"), order=order), ("x", "y"))
+             for order in (MonomialOrder.LEX, MonomialOrder.GRLEX)]
+    cases.append((make_plane_curve(parse_poly("x^4 + y^4 - 1"),
+                                   order=MonomialOrder.GRLEX), ("x", "y")))
+    cases.append((twisted_cubic(), ("x", "y", "z")))
+    rng = random.Random(9105)
+    for c, variables in cases:
+        for _ in range(25):
+            u = VField(c.reduce(rand_poly(rng, variables=variables, max_degree=5)))
+            v = VField(c.reduce(rand_poly(rng, variables=variables, max_degree=5)))
+            a, b = u.coeff, v.coeff
+            assert bracket(u, v).coeff == a * apply_tau(c, b) - b * apply_tau(c, a)
 
 
 def test_bracket_mismatch():

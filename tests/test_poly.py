@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,18 @@ def _nested(depth):
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_poly(bad)
+
+
+def test_parse_product_bound():
+    with pytest.raises(StepBudgetExceeded, match="parse phase"):
+        parse_poly("(x+1)^3000")
+    with pytest.raises(StepBudgetExceeded):
+        parse_poly("(x+y+z+1)^40")
+    expanded = parse_poly("(x+1)^600")
+    assert len(expanded.terms) == 601 and expanded.coefficient((300, 0, 0)) == comb(600, 300)
+    for text, expected in (("(x - 2y + 1)^7", parse_poly("x - 2y + 1") ** 7),
+                           ("(3x)^0", Poly.one()), ("2(x+1)^2", parse_poly("2x^2 + 4x + 2"))):
+        assert parse_poly(text) == expected
 
 
 def test_format_round_trip_random(rand_poly):
