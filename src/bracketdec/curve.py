@@ -330,7 +330,6 @@ class PlaneCurve(Curve):
         self.tau_components = (partial_derivative(equation, "y"),
                                -partial_derivative(equation, "x"))
         self.order = order
-        self.max_steps = max_steps
         self.gb = buchberger([equation], order, max_steps)
         self._dec_gb: Optional[GroebnerBasis] = None
 
@@ -340,10 +339,17 @@ class PlaneCurve(Curve):
         return RingElem(self, normal_form(p, self.gb))
 
     def decomposition_basis(self) -> GroebnerBasis:
-        """Basis of (P, Q, F) with cofactors, cached; P, Q the tau components."""
+        """Basis (1) of (P, Q, F) with its cofactor row, cached; P, Q the tau components.
+
+        (P, Q, F) = (F_y, -F_x, F) is the Jacobian ideal up to sign and
+        order, so the smoothness certificate 1 = a F + b F_x + c F_y gives
+        the row (c, -b, a) without a second Buchberger run; building the
+        basis rechecks the identity.
+        """
         if self._dec_gb is None:
-            gens = [self.tau_components[0], self.tau_components[1], self.equation]
-            self._dec_gb = buchberger(gens, self.order, self.max_steps)
+            a, b, c = self.smooth_cert.cofactors
+            gens = (self.tau_components[0], self.tau_components[1], self.equation)
+            self._dec_gb = GroebnerBasis(gens, (Poly.one(),), ((c, -b, a),), self.order)
         return self._dec_gb
 
     def describe(self) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from .poly import (
@@ -24,6 +25,7 @@ from .poly import (
     mono_lcm,
     mono_div,
     partial_derivative,
+    _sum_of_products,
 )
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -51,10 +53,7 @@ class GroebnerBasis:
         for elem, row in zip(self.basis, self.cofactors):
             if len(row) != len(self.generators):
                 raise ValueError("one cofactor per generator")
-            acc = Poly.zero()
-            for c, g in zip(row, self.generators):
-                acc = acc + c * g
-            if acc != elem:
+            if _sum_of_products(zip(row, self.generators)) != elem:
                 raise ValueError("cofactor row does not reproduce its basis element")
 
     def contains_one(self) -> bool:
@@ -76,10 +75,7 @@ class MembershipCertificate:
     def __post_init__(self):
         if len(self.cofactors) != len(self.generators):
             raise ValueError("one cofactor per generator")
-        acc = Poly.zero()
-        for c, g in zip(self.cofactors, self.generators):
-            acc = acc + c * g
-        if acc != self.target:
+        if _sum_of_products(zip(self.cofactors, self.generators)) != self.target:
             raise ValueError("cofactors do not recombine to the target")
 
 
@@ -90,12 +86,9 @@ def _scale_row(row: Sequence[Poly], factor: Fraction) -> tuple:
 def _row_combination(base: Sequence[Poly], quotients: Sequence[Poly],
                      rows: Sequence[Sequence[Poly]]) -> tuple:
     """base - sum_k quotients[k] * rows[k], componentwise."""
-    out = list(base)
-    for q, row in zip(quotients, rows):
-        if q.is_zero():
-            continue
-        out = [r - q * c for r, c in zip(out, row)]
-    return tuple(out)
+    negated = [(-q, row) for q, row in zip(quotients, rows) if q]
+    return tuple(_sum_of_products([(Poly.one(), b)] + [(q, row[t]) for q, row in negated])
+                 for t, b in enumerate(base))
 
 
 def buchberger(generators: Sequence[Poly],
@@ -124,29 +117,34 @@ def buchberger(generators: Sequence[Poly],
     if not polys:
         return GroebnerBasis(gens, (), (), order)
 
-    pairs = [(i, j) for j in range(len(polys)) for i in range(j)]
+    # leading terms are computed once per element; pairs wait in a heap
+    # keyed (order key of the lcm, i, j), which pops them in the same order
+    # as a scan for the least key would
+    lts = [p.leading_term(order) for p in polys]
+    pairs: list = []
 
-    def pair_key(pair):
-        i, j = pair
-        lcm = mono_lcm(polys[i].leading_monomial(order),
-                       polys[j].leading_monomial(order))
-        return (order.key(lcm), i, j)
+    def add_pairs(t):
+        for k in range(t):
+            lcm = mono_lcm(lts[k][0], lts[t][0])
+            heappush(pairs, (order.key(lcm), k, t))
+
+    for t in range(1, len(polys)):
+        add_pairs(t)
 
     while pairs:
-        best = min(range(len(pairs)), key=lambda k: pair_key(pairs[k]))
-        i, j = pairs.pop(best)
-        lmi, lci = polys[i].leading_term(order)
-        lmj, lcj = polys[j].leading_term(order)
+        _, i, j = heappop(pairs)
+        lmi, lci = lts[i]
+        lmj, lcj = lts[j]
         if mono_coprime(lmi, lmj):
             # the S-polynomial of a coprime pair always reduces to zero
             continue
         lcm = mono_lcm(lmi, lmj)
         ui = Poly.monomial(mono_div(lcm, lmi), 1 / lci)
-        uj = Poly.monomial(mono_div(lcm, lmj), 1 / lcj)
-        s = ui * polys[i] - uj * polys[j]
+        uj = Poly.monomial(mono_div(lcm, lmj), -1 / lcj)
+        s = _sum_of_products(((ui, polys[i]), (uj, polys[j])))
         if s.is_zero():
             continue
-        srow = tuple(ui * a - uj * b for a, b in zip(rows[i], rows[j]))
+        srow = tuple(_sum_of_products(((ui, a), (uj, b))) for a, b in zip(rows[i], rows[j]))
         quotients, rem = divide_multivariate(s, polys, order, budget)
         if rem.is_zero():
             continue
@@ -154,16 +152,15 @@ def buchberger(generators: Sequence[Poly],
         inv = 1 / rem.leading_term(order)[1]
         polys.append(rem * inv)
         rows.append(_scale_row(row, inv))
-        t = len(polys) - 1
-        pairs.extend((k, t) for k in range(t))
+        lts.append(polys[-1].leading_term(order))
+        add_pairs(len(polys) - 1)
 
     # minimal basis: drop elements whose leading monomial another divides
-    by_lm = sorted(range(len(polys)),
-                   key=lambda i: (order.key(polys[i].leading_monomial(order)), i))
+    by_lm = sorted(range(len(polys)), key=lambda i: (order.key(lts[i][0]), i))
     kept: list[int] = []
     for i in by_lm:
-        lm = polys[i].leading_monomial(order)
-        if any(mono_divides(polys[k].leading_monomial(order), lm) for k in kept):
+        lm = lts[i][0]
+        if any(mono_divides(lts[k][0], lm) for k in kept):
             continue
         kept.append(i)
 
@@ -213,12 +210,9 @@ def certificate_from_basis(target: Poly, gb: GroebnerBasis,
     quotients, rem = divide_multivariate(target, list(gb.basis), gb.order, budget)
     if not rem.is_zero():
         return None
-    cofs = [Poly.zero() for _ in gb.generators]
-    for q, row in zip(quotients, gb.cofactors):
-        if q.is_zero():
-            continue
-        cofs = [c + q * r for c, r in zip(cofs, row)]
-    return MembershipCertificate(target, gb.generators, tuple(cofs))
+    cofs = tuple(_sum_of_products((q, row[t]) for q, row in zip(quotients, gb.cofactors))
+                 for t in range(len(gb.generators)))
+    return MembershipCertificate(target, gb.generators, cofs)
 
 
 def membership_certificate(target: Poly, generators: Sequence[Poly],

@@ -5,6 +5,12 @@ module is exact.  A polynomial is stored as a tuple of (monomial,
 coefficient) pairs with no zero coefficients, sorted descending in the
 lexicographic order; monomials are plain exponent triples (e_x, e_y, e_z).
 
+Products, and sums of products such as S-polynomials, cofactor rows and
+certificate identities, go through one kernel that multiplies integer
+numerators over a common denominator and builds one Fraction per output
+term, so the gcd that Fraction arithmetic pays on every operation is paid
+once per term.  Division stays on Fraction arithmetic.
+
 Both monomial orders compare the z exponent first and the x exponent last.
 Reduction modulo a curve ideal therefore eliminates z and y before x, and
 quotient-ring representatives collect in the x coordinate (the twisted cubic
@@ -16,6 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ParseError, StepBudgetExceeded
@@ -240,13 +247,7 @@ class Poly:
             return Poly._raw(tuple((m, c * q) for m, c in self.terms))
         if not isinstance(other, Poly):
             return NotImplemented
-        acc: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                v = acc.get(m)
-                acc[m] = c1 * c2 if v is None else v + c1 * c2
-        return Poly._from_dict(acc)
+        return _sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -299,16 +300,47 @@ _ZERO = Poly._raw(())
 _ONE = Poly._raw((((0, 0, 0), Fraction(1)),))
 
 
+def _sum_of_products(pairs: Iterable) -> Poly:
+    """sum(a * b for a, b in pairs), exactly, with one Fraction per output term.
+
+    Every coefficient of an a is scaled to an integer numerator over da, the
+    lcm of the denominators of all the a's, and likewise every b over db.
+    The numerator products are summed as plain ints, and each nonzero sum
+    becomes Fraction(n, da * db) once at the end, so only the output terms
+    pay for a gcd, not every coefficient product.
+    """
+    pairs = [(a.terms, b.terms) for a, b in pairs if a.terms and b.terms]
+    # sets: lcm gets the few distinct denominators, not an argument tuple
+    # as long as the polynomials (such tuples linger in the interpreter's
+    # free lists and raise peak memory)
+    da = lcm(*{c.denominator for a, _ in pairs for _, c in a})
+    db = lcm(*{c.denominator for _, b in pairs for _, c in b})
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        b = [(m, c.numerator * (db // c.denominator)) for m, c in b]
+        for (a0, a1, a2), c in a:
+            ca = c.numerator * (da // c.denominator)
+            for (b0, b1, b2), cb in b:
+                m = (a0 + b0, a1 + b1, a2 + b2)
+                acc[m] = get(m, 0) + ca * cb
+    d = da * db
+    terms = [(m, Fraction(n, d)) for m, n in acc.items() if n]
+    terms.sort(key=lambda t: _lex_key(t[0]), reverse=True)
+    return Poly._raw(tuple(terms))
+
+
 def _power(base: Poly, e: int, mul) -> Poly:
     """base^e by repeated squaring, every product taken by mul(a, b)."""
-    result = _ONE
+    result = None
     while e:
         if e & 1:
-            result = mul(result, base)
+            # the first factor needs no product with one
+            result = base if result is None else mul(result, base)
         e >>= 1
         if e:
             base = mul(base, base)
-    return result
+    return _ONE if result is None else result
 
 
 def _format_mono(mono: Mono) -> str:
@@ -476,6 +508,14 @@ MAX_NESTING = 100
 # (x+1)^3000 could run unbounded; (x+1)^600 costs about 136,000.
 MAX_PARSE_PRODUCTS = 200_000
 
+# Most coefficient bits one polynomial text may charge while parsing: every
+# product and power step charges the largest coefficient bit length of its
+# result.  A one-term text such as 3^200000000 costs one term product per
+# squaring, so only this stops its coefficient from doubling in size 28
+# times.  A product with small coefficients charges a few bits, so such
+# texts reach MAX_PARSE_PRODUCTS first.
+MAX_PARSE_COEFF_BITS = 1_000_000
+
 
 def _tokenize(text: str):
     text = text.replace("−", "-").replace("·", "*")
@@ -506,12 +546,23 @@ def _tokenize(text: str):
     return tokens
 
 
+def _coeff_bits(p: Poly) -> int:
+    """Largest numerator plus denominator bit length of a coefficient of p."""
+    bits = 0
+    for _, c in p.terms:
+        b = c.numerator.bit_length() + c.denominator.bit_length()
+        if b > bits:
+            bits = b
+    return bits
+
+
 class _PolyParser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
         self.products = 0
+        self.bits = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -534,7 +585,13 @@ class _PolyParser:
             raise StepBudgetExceeded(
                 f"parse phase: polynomial text needs more than {MAX_PARSE_PRODUCTS} "
                 "coefficient products to expand")
-        return a * b
+        product = a * b
+        self.bits += _coeff_bits(product)
+        if self.bits > MAX_PARSE_COEFF_BITS:
+            raise StepBudgetExceeded(
+                f"parse phase: polynomial text needs more than {MAX_PARSE_COEFF_BITS} "
+                "coefficient bits to expand")
+        return product
 
     def parse(self) -> Poly:
         e = self.expr()

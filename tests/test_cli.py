@@ -69,6 +69,18 @@ def test_parse_products_bounded_exits_4():
     assert "Traceback" not in proc.stderr
 
 
+def test_parse_coefficient_bits_bounded_exits_4():
+    # 3^200000000 is one term, so only the coefficient bit bound stops it
+    proc = subprocess.run(_BASE + ["decompose", "--curve", "line",
+                                   "--target", "3^200000000", "--max-steps", "10"],
+                          capture_output=True, text=True, timeout=20)
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
+    assert doc["error"]["message"].startswith("parse phase")
+    assert "coefficient bits" in doc["error"]["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_decompose_plane():
     code, doc, _ = run_cli("decompose", "--curve", "plane y^2 - x^3 - x",
                            "--target", "1")

@@ -22,7 +22,14 @@ from bracketdec.errors import (
     ValidationError,
     ZeroTau,
 )
-from bracketdec.poly import MonomialOrder, Poly, parse_poly
+from bracketdec.decompose import two_bracket_plane
+from bracketdec.groebner import buchberger
+from bracketdec.poly import MonomialOrder, Poly, parse_poly, partial_derivative
+
+# The plane curves of the acceptance corpus, and a quartic under GRLEX.
+_PLANE_CORPUS = [(f"y^2 - ({h})", MonomialOrder.LEX)
+                 for h in ("x^3 + x", "x^3 - x + 1", "x^5 + x + 1", "x^5 - x", "x^7 + x + 1")]
+_PLANE_CORPUS.append(("x^4 + y^4 - 1", MonomialOrder.GRLEX))
 
 
 def twisted_cubic():
@@ -37,6 +44,38 @@ def test_plane_curve_construction():
     assert c.tau_components == (parse_poly("2y"), parse_poly("3x^2 + 1"))
     assert c.smooth_cert.target == Poly.one()
     assert c.reduce(parse_poly("y^2")).poly == parse_poly("x^3 + x")
+
+
+@pytest.mark.parametrize("equation, order", _PLANE_CORPUS)
+def test_plane_decomposition_basis_matches_buchberger(equation, order):
+    # the row taken from the smoothness certificate is the row Buchberger
+    # computes on (P, Q, F), so decompositions stay byte-identical
+    c = make_plane_curve(parse_poly(equation), order=order)
+    P, Q = c.tau_components
+    assert c.decomposition_basis() == buchberger([P, Q, c.equation], order)
+
+
+def test_plane_curve_runs_buchberger_once_on_jacobian(monkeypatch):
+    import bracketdec.curve
+    import bracketdec.groebner
+
+    calls = []
+    real = bracketdec.groebner.buchberger
+
+    def counting(generators, *args, **kwargs):
+        calls.append(tuple(generators))
+        return real(generators, *args, **kwargs)
+
+    monkeypatch.setattr(bracketdec.groebner, "buchberger", counting)
+    monkeypatch.setattr(bracketdec.curve, "buchberger", counting)
+    F = parse_poly("y^2 - x^3 - x")
+    c = make_plane_curve(F)
+    decomp = two_bracket_plane(c, c.reduce(parse_poly("x*y + 1")))
+    assert decomp.length <= 2
+    Fx, Fy = partial_derivative(F, "x"), partial_derivative(F, "y")
+    # the Jacobian ideal for smoothness and (F) for the normal forms; the
+    # decomposition basis of (P, Q, F) reuses the smoothness certificate
+    assert sorted(calls, key=len) == [(F,), (F, Fx, Fy)]
 
 
 def test_plane_curve_rejects():

@@ -15,7 +15,18 @@ from bracketdec.groebner import (
     plane_smoothness_certificate,
     preserves_ideal,
 )
-from bracketdec.poly import MonomialOrder, Poly, parse_poly, partial_derivative
+from bracketdec.poly import (
+    MonomialOrder,
+    Poly,
+    StepBudget,
+    divide_multivariate,
+    mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    parse_poly,
+    partial_derivative,
+)
 
 LEX = MonomialOrder.LEX
 GRLEX = MonomialOrder.GRLEX
@@ -183,21 +194,110 @@ def test_buchberger_budget():
 
 # -- cross-checks against sympy ----------------------------------------------------
 
-def _ideal_pool(rand_poly):
+def _ideal_pool(rand_poly, seed=8102, max_denominator=1):
     """Random ideals that stay cheap under lex: dense in 2 vars, sparse in 3."""
-    rng = random.Random(8102)
+    rng = random.Random(seed)
     pool = []
     for _ in range(15):
-        gens = [rand_poly(rng, variables=("x", "y"), max_degree=3,
-                          coeff_lo=-4, coeff_hi=4, max_terms=4, nonzero=True)
+        gens = [rand_poly(rng, variables=("x", "y"), max_degree=3, coeff_lo=-4, coeff_hi=4,
+                          max_terms=4, nonzero=True, max_denominator=max_denominator)
                 for _ in range(rng.randint(1, 3))]
         pool.append(gens)
     for _ in range(10):
-        gens = [rand_poly(rng, variables=("x", "y", "z"), max_degree=2,
-                          coeff_lo=-3, coeff_hi=3, max_terms=3, nonzero=True)
+        gens = [rand_poly(rng, variables=("x", "y", "z"), max_degree=2, coeff_lo=-3, coeff_hi=3,
+                          max_terms=3, nonzero=True, max_denominator=max_denominator)
                 for _ in range(rng.randint(1, 2))]
         pool.append(gens)
     return pool
+
+
+def _reference_buchberger(generators, order):
+    """Reference loop: scan every pair for the least (lcm key, i, j) on each
+    iteration and recompute leading terms from the polynomials.
+
+    Returns the basis and the number of reduction steps it spent.
+    """
+    gens = tuple(generators)
+    budget = StepBudget(10**6)
+    ngen = len(gens)
+    polys, rows = [], []
+    for j, g in enumerate(gens):
+        if not g.is_zero():
+            polys.append(g)
+            rows.append(tuple(Poly.one() if t == j else Poly.zero() for t in range(ngen)))
+
+    def combination(base, quotients, qrows):
+        out = list(base)
+        for q, row in zip(quotients, qrows):
+            out = [r - q * c for r, c in zip(out, row)]
+        return tuple(out)
+
+    def pair_key(pair):
+        i, j = pair
+        lcm = mono_lcm(polys[i].leading_monomial(order), polys[j].leading_monomial(order))
+        return (order.key(lcm), i, j)
+
+    pairs = [(i, j) for j in range(len(polys)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(min(range(len(pairs)), key=lambda k: pair_key(pairs[k])))
+        lmi, lci = polys[i].leading_term(order)
+        lmj, lcj = polys[j].leading_term(order)
+        if mono_coprime(lmi, lmj):
+            continue
+        lcm = mono_lcm(lmi, lmj)
+        ui = Poly.monomial(mono_div(lcm, lmi), 1 / lci)
+        uj = Poly.monomial(mono_div(lcm, lmj), 1 / lcj)
+        s = ui * polys[i] - uj * polys[j]
+        if s.is_zero():
+            continue
+        quotients, rem = divide_multivariate(s, polys, order, budget)
+        if rem.is_zero():
+            continue
+        row = combination([ui * a - uj * b for a, b in zip(rows[i], rows[j])], quotients, rows)
+        inv = 1 / rem.leading_term(order)[1]
+        polys.append(rem * inv)
+        rows.append(tuple(r * inv for r in row))
+        pairs.extend((k, len(polys) - 1) for k in range(len(polys) - 1))
+
+    kept = []
+    by_lm = sorted(range(len(polys)),
+                   key=lambda i: (order.key(polys[i].leading_monomial(order)), i))
+    for i in by_lm:
+        lm = polys[i].leading_monomial(order)
+        if not any(mono_divides(polys[k].leading_monomial(order), lm) for k in kept):
+            kept.append(i)
+    final = []
+    for i in kept:
+        others = [k for k in kept if k != i]
+        rem, row = polys[i], rows[i]
+        if others:
+            quotients, rem = divide_multivariate(rem, [polys[k] for k in others], order, budget)
+            row = combination(row, quotients, [rows[k] for k in others])
+        inv = 1 / rem.leading_term(order)[1]
+        final.append((rem * inv, tuple(r * inv for r in row)))
+    final.sort(key=lambda pr: order.key(pr[0].leading_monomial(order)), reverse=True)
+    gb = GroebnerBasis(gens, tuple(p for p, _ in final), tuple(r for _, r in final), order)
+    return gb, 10**6 - budget.remaining
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX])
+def test_buchberger_matches_reference_loop(order, rand_poly):
+    # the pair heap pops pairs in the order of the scan, so the basis, the
+    # cofactor rows and the steps spent are all the same
+    pools = _ideal_pool(rand_poly) + _ideal_pool(rand_poly, seed=8105, max_denominator=12)
+    # generators sharing their leading monomial y^3: every pair's lcm ties,
+    # so only the (i, j) tie-break orders them
+    rng = random.Random(8106)
+    for _ in range(10):
+        pools.append([Poly.monomial((0, 3, 0), rng.randint(1, 3))
+                      + rand_poly(rng, variables=("x", "y"), max_degree=2, max_terms=3)
+                      for _ in range(rng.randint(3, 4))])
+    for gens in pools:
+        expected, steps = _reference_buchberger(gens, order)
+        assert buchberger(gens, order, max_steps=steps) == expected
+        if steps:
+            with pytest.raises(StepBudgetExceeded):
+                buchberger(gens, order, max_steps=steps - 1)
 
 
 @pytest.mark.parametrize("order", [LEX, GRLEX])

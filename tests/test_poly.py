@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracketdec.errors import ParseError, StepBudgetExceeded
 from bracketdec.poly import (
     MAX_NESTING,
+    MAX_PARSE_COEFF_BITS,
+    MAX_PARSE_PRODUCTS,
     MonomialOrder,
     Poly,
     StepBudget,
@@ -16,8 +19,10 @@ from bracketdec.poly import (
     apply_derivation,
     divide_multivariate,
     gcd_univariate,
+    _sum_of_products,
     mono_div,
     mono_divides,
+    mono_mul,
     parse_poly,
     partial_derivative,
 )
@@ -86,6 +91,20 @@ def test_parse_product_bound():
         assert parse_poly(text) == expected
 
 
+def test_parse_coefficient_bits_bound():
+    # one term, so the product bound never fires: only coefficient bits stop it
+    with pytest.raises(StepBudgetExceeded, match="parse phase.*coefficient bits"):
+        parse_poly("3^200000000")
+    with pytest.raises(StepBudgetExceeded, match="coefficient bits"):
+        parse_poly("(2/3 x)^1000000")
+    assert parse_poly("3^1000").as_constant() == 3 ** 1000
+    assert parse_poly("(2/3)^40 x^200000000") == Poly.monomial((200_000_000, 0, 0),
+                                                             Fraction(2, 3) ** 40)
+    # a product whose coefficients stay below 8 charges at most 4 bits, so
+    # such texts reach the product bound first
+    assert 4 * MAX_PARSE_PRODUCTS < MAX_PARSE_COEFF_BITS
+
+
 def test_format_round_trip_random(rand_poly):
     rng = random.Random(7001)
     for _ in range(200):
@@ -95,9 +114,7 @@ def test_format_round_trip_random(rand_poly):
 
 # -- arithmetic --------------------------------------------------------------
 
-@settings(max_examples=60)
-@given(polys, polys, polys)
-def test_ring_laws(p, q, r):
+def _assert_ring_laws(p, q, r):
     assert p + q == q + p
     assert p * q == q * p
     assert (p + q) + r == p + (q + r)
@@ -106,6 +123,103 @@ def test_ring_laws(p, q, r):
     assert p + Poly.zero() == p
     assert p * Poly.one() == p
     assert p - p == Poly.zero()
+
+
+@settings(max_examples=60)
+@given(polys, polys, polys)
+def test_ring_laws(p, q, r):
+    _assert_ring_laws(p, q, r)
+
+
+@pytest.mark.parametrize("max_denominator", [720, 10**12])
+def test_ring_laws_rational(max_denominator, rand_poly):
+    # denominators up to 10^12 are mostly coprime, so products run over
+    # common denominators far larger than any one coefficient's
+    rng = random.Random(7010)
+    for _ in range(60):
+        p, q, r = (rand_poly(rng, variables=("x", "y", "z"), max_degree=3,
+                             max_denominator=max_denominator) for _ in range(3))
+        _assert_ring_laws(p, q, r)
+
+
+def _schoolbook_mul(p, q):
+    """Reference product: one Fraction product and one Fraction sum per pair of terms."""
+    acc: dict = {}
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            m = mono_mul(m1, m2)
+            v = acc.get(m)
+            acc[m] = c1 * c2 if v is None else v + c1 * c2
+    return Poly._from_dict(acc)
+
+
+def _schoolbook_sum_of_products(pairs):
+    acc = Poly.zero()
+    for a, b in pairs:
+        acc = acc + _schoolbook_mul(a, b)
+    return acc
+
+
+@pytest.mark.parametrize("max_denominator", [1, 12, 10**12])
+def test_mul_matches_schoolbook(max_denominator, rand_poly):
+    rng = random.Random(7011)
+    for _ in range(300):
+        p, q = (rand_poly(rng, variables=("x", "y", "z"), max_degree=4, max_terms=8,
+                          max_denominator=max_denominator) for _ in range(2))
+        assert (p * q).terms == _schoolbook_mul(p, q).terms
+
+
+@pytest.mark.parametrize("max_denominator", [1, 12, 10**12])
+def test_sum_of_products_matches_schoolbook(max_denominator, rand_poly):
+    rng = random.Random(7012)
+    for _ in range(300):
+        pairs = [tuple(rand_poly(rng, variables=("x", "y", "z"), max_degree=3,
+                                 max_denominator=max_denominator) for _ in range(2))
+                 for _ in range(rng.randint(0, 4))]
+        if pairs and rng.random() < 0.3:
+            # cancels one pair exactly, possibly all of the sum
+            a, b = rng.choice(pairs)
+            pairs.append((-a, b) if rng.random() < 0.5 else (b, -a))
+        assert _sum_of_products(pairs).terms == _schoolbook_sum_of_products(pairs).terms
+
+
+def test_sum_of_products_edge_cases():
+    p = parse_poly("1/3x^2 - 5/7y + 2")
+    q = parse_poly("3/11x*y + 1/2")
+    assert _sum_of_products([]).is_zero()
+    assert _sum_of_products([(Poly.zero(), p), (q, Poly.zero())]).is_zero()
+    assert _sum_of_products([(p, q), (-p, q)]).is_zero()
+    assert _sum_of_products([(p, q), (Poly.zero(), q), (q, -p)]).is_zero()
+    # cancellation down to one term with an integer coefficient
+    assert _sum_of_products([(p, q), (-p, q + Poly.one())]) == -p
+    # large coprime denominators: the primes 2^61 - 1, 10^9 + 7 and 2^31 - 1
+    big1, big2, big3 = 2**61 - 1, 10**9 + 7, 2**31 - 1
+    a = Poly([((1, 0, 0), Fraction(1, big1)), ((0, 0, 0), Fraction(3, big2))])
+    b = Poly([((0, 1, 0), Fraction(5, big3)), ((0, 0, 0), Fraction(-1, big1))])
+    pairs = [(a, b), (b, b), (a, a * Fraction(big1, big2))]
+    got = _sum_of_products(pairs)
+    assert got.terms == _schoolbook_sum_of_products(pairs).terms
+    assert got.coefficient((1, 1, 0)) == Fraction(5, big1 * big3)
+    assert got.coefficient((0, 2, 0)) == Fraction(25, big3 ** 2)
+
+
+def test_sum_of_products_matches_sympy(rand_poly):
+    X, Y, Z = sympy.symbols("x y z")
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * X**ex * Y**ey * Z**ez
+                    for (ex, ey, ez), c in p.terms), sympy.Integer(0))
+
+    rng = random.Random(7013)
+    for _ in range(30):
+        pairs = [tuple(rand_poly(rng, variables=("x", "y", "z"), max_degree=3,
+                                 max_denominator=rng.choice((1, 10**6))) for _ in range(2))
+                 for _ in range(rng.randint(1, 3))]
+        expected = sympy.Poly(sum((to_sympy(a) * to_sympy(b) for a, b in pairs),
+                                  sympy.Integer(0)), X, Y, Z).as_dict()
+        got = {m: sympy.Rational(c.numerator, c.denominator)
+               for m, c in _sum_of_products(pairs).terms}
+        assert got == {m: c for m, c in expected.items() if c}
 
 
 def test_scalar_arithmetic():
@@ -221,19 +335,24 @@ def test_divide_rejects_zero_divisor():
 @pytest.mark.parametrize("order", [LEX, GRLEX])
 def test_divide_reconstruction_random(order, rand_poly):
     rng = random.Random(7003 if order is LEX else 7004)
-    for _ in range(250):
-        p = rand_poly(rng, variables=("x", "y", "z"), max_degree=4)
-        divisors = [rand_poly(rng, variables=("x", "y", "z"), max_degree=3, nonzero=True)
-                    for _ in range(rng.randint(1, 3))]
-        qs, rem = divide_multivariate(p, divisors, order)
-        recombined = rem
-        for q, d in zip(qs, divisors):
-            recombined = recombined + q * d
-        assert recombined == p
-        lms = [d.leading_monomial(order) for d in divisors]
-        for mono, _ in rem.terms:
-            assert not any(lm[0] <= mono[0] and lm[1] <= mono[1] and lm[2] <= mono[2]
-                           for lm in lms)
+    variables = ("x", "y", "z")
+    # integer coefficients first, then rational ones with mostly coprime denominators
+    for max_denominator in (1, 1000):
+        for _ in range(250):
+            p = rand_poly(rng, variables=variables, max_degree=4,
+                          max_denominator=max_denominator)
+            divisors = [rand_poly(rng, variables=variables, max_degree=3, nonzero=True,
+                                  max_denominator=max_denominator)
+                        for _ in range(rng.randint(1, 3))]
+            qs, rem = divide_multivariate(p, divisors, order)
+            recombined = rem
+            for q, d in zip(qs, divisors):
+                recombined = recombined + q * d
+            assert recombined == p
+            lms = [d.leading_monomial(order) for d in divisors]
+            for mono, _ in rem.terms:
+                assert not any(lm[0] <= mono[0] and lm[1] <= mono[1] and lm[2] <= mono[2]
+                               for lm in lms)
 
 
 def _schoolbook_divide(p, divisors, order=LEX, budget=None):
