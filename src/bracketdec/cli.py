@@ -235,8 +235,12 @@ _RUNNERS = {"check": _run_check, "decompose": _run_decompose,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.order = MonomialOrder(args.order)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                # argparse reads the option value "--" as an empty list
+                raise ParseError(f"--{name.replace('_', '-')} needs a value other than '--'")
+        args.order = MonomialOrder(args.order)
         doc = _RUNNERS[args.command](args)
         code = 0 if doc["status"] == "ok" else 1
     except (BracketDecError, ValueError) as exc:

@@ -47,6 +47,7 @@ from .poly import (
     Poly,
     apply_derivation,
     divide_multivariate,
+    format_number,
     gcd_univariate,
     parse_poly,
     partial_derivative,
@@ -154,6 +155,12 @@ class LocalizedElem:
 
     def __add__(self, other):
         other = self._check(other)
+        # zero has exponent 0: raising f to the other exponent would cost
+        # a power of f that the lowest-terms reduction then divides out
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
         f = self.curve.denominator
         m = max(self.exponent, other.exponent)
         num = (self.numerator * f ** (m - self.exponent)
@@ -190,7 +197,7 @@ class LocalizedElem:
     def __str__(self):
         if self.exponent == 0:
             return str(self.numerator)
-        power = f"^{self.exponent}" if self.exponent > 1 else ""
+        power = f"^{format_number(self.exponent)}" if self.exponent > 1 else ""
         return f"({self.numerator}) / ({self.curve.denominator}){power}"
 
     def __repr__(self):

@@ -27,7 +27,7 @@ from .curve import (
     SpaceCurve,
 )
 from .errors import CurveMismatch
-from .poly import apply_derivation, partial_derivative
+from .poly import _sum_of_products, apply_derivation, partial_derivative
 
 Element = Union[RingElem, LocalizedElem]
 
@@ -82,8 +82,8 @@ def apply_tau(curve: Curve, elem: Element) -> Element:
         f = curve.denominator
         if m == 0:
             return curve.elem(partial_derivative(n, "x"), 0)
-        num = (partial_derivative(n, "x") * f
-               - n * partial_derivative(f, "x") * m)
+        num = _sum_of_products(((partial_derivative(n, "x"), f),
+                                (n, partial_derivative(f, "x") * -m)))
         return curve.elem(num, m + 1)
     if isinstance(curve, (PlaneCurve, SpaceCurve)):
         return curve.reduce(apply_derivation(curve.tau_components, elem.poly))
@@ -103,8 +103,8 @@ def bracket(u: VField, v: VField) -> VField:
     a, b = u.coeff, v.coeff
     if isinstance(c, (PlaneCurve, SpaceCurve)):
         comps = c.tau_components
-        return VField(c.reduce(a.poly * apply_derivation(comps, b.poly)
-                               - b.poly * apply_derivation(comps, a.poly)))
+        return VField(c.reduce(_sum_of_products(((a.poly, apply_derivation(comps, b.poly)),
+                                                 (-b.poly, apply_derivation(comps, a.poly))))))
     return VField(a * apply_tau(c, b) - b * apply_tau(c, a))
 
 

@@ -9,7 +9,11 @@ Products, and sums of products such as S-polynomials, cofactor rows and
 certificate identities, go through one kernel that multiplies integer
 numerators over a common denominator and builds one Fraction per output
 term, so the gcd that Fraction arithmetic pays on every operation is paid
-once per term.  Division stays on Fraction arithmetic.
+once per term.  Division by monic divisors with integer coefficients, the
+usual curve basis or localization denominator, runs on integer numerators
+too; other divisors keep Fraction arithmetic.  Derivatives and
+antiderivatives shift one exponent, which keeps the canonical term order,
+so they build their terms without re-sorting.
 
 Both monomial orders compare the z exponent first and the x exponent last.
 Reduction modulo a curve ideal therefore eliminates z and y before x, and
@@ -19,6 +23,7 @@ ideal, for example, rewrites y and z as powers of x).
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -109,7 +114,12 @@ class Poly:
 
     @classmethod
     def _raw(cls, terms: tuple) -> "Poly":
-        """Wrap terms already in canonical form, skipping normalization."""
+        """Wrap terms already in canonical form, skipping normalization.
+
+        Callers build the tuple from a list: tuple() of a generator
+        over-allocates, and the oversized blocks linger in the interpreter's
+        tuple free lists and raise peak memory.
+        """
         p = object.__new__(cls)
         p.terms = terms
         return p
@@ -227,7 +237,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(tuple((m, -c) for m, c in self.terms))
+        return Poly._raw(tuple([(m, -c) for m, c in self.terms]))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -244,7 +254,7 @@ class Poly:
             q = Fraction(other)
             if not q:
                 return _ZERO
-            return Poly._raw(tuple((m, c * q) for m, c in self.terms))
+            return Poly._raw(tuple([(m, c * q) for m, c in self.terms]))
         if not isinstance(other, Poly):
             return NotImplemented
         return _sum_of_products(((self, other),))
@@ -281,11 +291,11 @@ class Poly:
             neg = coeff < 0
             mag = -coeff if neg else coeff
             if not mstr:
-                body = str(mag)
+                body = format_number(mag)
             elif mag == 1:
                 body = mstr
             else:
-                body = f"{mag}*{mstr}"
+                body = f"{format_number(mag)}*{mstr}"
             if i == 0:
                 out.append("-" + body if neg else body)
             else:
@@ -349,34 +359,57 @@ def _format_mono(mono: Mono) -> str:
         if e == 1:
             parts.append(name)
         elif e > 1:
-            parts.append(f"{name}^{e}")
+            parts.append(f"{name}^{format_number(e)}")
     return "*".join(parts)
+
+
+def format_number(n: Scalar) -> str:
+    """Decimal text of a coefficient or exponent; all printed numbers pass here.
+
+    Python refuses to convert ints longer than sys.get_int_max_str_digits()
+    digits to text; such a number is reported as the output phase running
+    out of budget, not as a bad input.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        raise StepBudgetExceeded(
+            f"output phase: a number in the result has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit for "
+            "printing an integer") from None
 
 
 # -- calculus --------------------------------------------------------------
 
 
 def partial_derivative(p: Poly, var: str) -> Poly:
-    """d p / d var, exactly."""
+    """d p / d var, exactly.
+
+    Lowering one exponent by one keeps distinct monomials distinct and
+    preserves both monomial orders, so the terms come out in canonical
+    order and need no re-sort.
+    """
     idx = _VAR_INDEX[var]
-    terms = []
-    for m, c in p.terms:
-        e = m[idx]
-        if e:
-            m2 = tuple(v - 1 if i == idx else v for i, v in enumerate(m))
-            terms.append((m2, c * e))
-    return Poly(terms)
+    return Poly._raw(tuple([(_shift(m, idx, -1), c * m[idx]) for m, c in p.terms if m[idx]]))
 
 
 def antiderivative(p: Poly, var: str) -> Poly:
-    """The antiderivative of p in var with zero constant term."""
+    """The antiderivative of p in var with zero constant term.
+
+    Raising one exponent by one preserves canonical order, as in
+    partial_derivative.
+    """
     idx = _VAR_INDEX[var]
-    terms = []
-    for m, c in p.terms:
-        e = m[idx]
-        m2 = tuple(v + 1 if i == idx else v for i, v in enumerate(m))
-        terms.append((m2, c / (e + 1)))
-    return Poly(terms)
+    return Poly._raw(tuple([(_shift(m, idx, 1), c / (m[idx] + 1)) for m, c in p.terms]))
+
+
+def _shift(m: Mono, idx: int, by: int) -> Mono:
+    """m with exponent idx changed by `by`; one branch per index beats slicing."""
+    if idx == 0:
+        return (m[0] + by, m[1], m[2])
+    if idx == 1:
+        return (m[0], m[1] + by, m[2])
+    return (m[0], m[1], m[2] + by)
 
 
 def apply_derivation(components: Sequence[Poly], p: Poly) -> Poly:
@@ -384,12 +417,8 @@ def apply_derivation(components: Sequence[Poly], p: Poly) -> Poly:
 
     Two components are read as (x, y) with a zero z component.
     """
-    acc = Poly.zero()
-    for comp, var in zip(components, VARIABLES):
-        if comp.is_zero():
-            continue
-        acc = acc + comp * partial_derivative(p, var)
-    return acc
+    return _sum_of_products((comp, partial_derivative(p, var))
+                            for comp, var in zip(components, VARIABLES) if comp.terms)
 
 
 # -- division ---------------------------------------------------------------
@@ -419,6 +448,12 @@ def _grlex_heap_key(m: Mono):
     return (-m[0] - m[1] - m[2], -m[2], -m[1], -m[0])
 
 
+def _monic_integral(heads) -> bool:
+    """True when every ((lm, lc), terms) divisor head is monic with integer coefficients."""
+    return all(lc == 1 and all(c.denominator == 1 for _, c in terms)
+               for (_, lc), terms in heads)
+
+
 def divide_multivariate(p: Poly, divisors: Sequence[Poly],
                         order: MonomialOrder = MonomialOrder.LEX,
                         budget: StepBudget | None = None):
@@ -433,7 +468,12 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
 
     The dividend is kept as a {monomial: coefficient} dict with a heap of
     its monomials (heap division, Monagan & Pearce 2007), so a step costs
-    the divisor's tail, not a re-sort of the whole dividend.
+    the divisor's tail, not a re-sort of the whole dividend.  When every
+    divisor is monic with integer coefficients (curve bases, localization
+    denominators), the loop runs on integer numerators over the dividend's
+    common denominator, since no step then divides, and each output term
+    becomes one Fraction at the end; other divisors keep Fraction
+    coefficients throughout.  Both give the same steps and results.
     """
     divisors = list(divisors)
     if not divisors:
@@ -441,13 +481,18 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
     if any(d.is_zero() for d in divisors):
         raise ValueError("cannot divide by the zero polynomial")
     heap_key = _lex_heap_key if order is MonomialOrder.LEX else _grlex_heap_key
-    heads = []
-    for d in divisors:
-        dm, dc = d.leading_term(order)
-        heads.append((dm, dc, [t for t in d.terms if t[0] != dm]))
+    heads = [(d.leading_term(order), d.terms) for d in divisors]
+    integral = _monic_integral(heads)
+    if integral:
+        den = lcm(*{c.denominator for _, c in p.terms})
+        acc = {m: c.numerator * (den // c.denominator) for m, c in p.terms}
+        heads = [(dm, 1, [(m, c.numerator) for m, c in terms if m != dm])
+                 for (dm, _), terms in heads]
+    else:
+        acc = dict(p.terms)
+        heads = [(dm, dc, [t for t in terms if t[0] != dm]) for (dm, dc), terms in heads]
     quotients: list[dict] = [{} for _ in divisors]
     rem: dict = {}
-    acc = dict(p.terms)
     heap = [(heap_key(m), m) for m in acc]
     heapify(heap)
     while heap:
@@ -462,7 +507,8 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
         for i, (dm, dc, tail) in enumerate(heads):
             if mono_divides(dm, lm):
                 qm = mono_div(lm, dm)
-                qc = lc / dc
+                # dc is 1 throughout the integer loop, which never divides
+                qc = lc if dc == 1 else lc / dc
                 # leading monomials only fall, so qm is new to this quotient
                 quotients[i][qm] = qc
                 q0, q1, q2 = qm
@@ -478,6 +524,9 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
                 break
         else:
             rem[lm] = lc
+    if integral:
+        quotients = [{m: Fraction(n, den) for m, n in q.items()} for q in quotients]
+        rem = {m: Fraction(n, den) for m, n in rem.items()}
     return [Poly._from_dict(q) for q in quotients], Poly._from_dict(rem)
 
 

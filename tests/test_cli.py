@@ -1,7 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bracketdec.cli import main
 
 _BASE = [sys.executable, "-m", "bracketdec.cli"]
 
@@ -186,3 +194,82 @@ def test_json_output_independent_of_hash_seed():
                 for seed in ("0", "1")]
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["verification"] is True
+
+
+def test_output_too_long_to_print_exits_4():
+    # 3^40000 parses within the parse bounds, but its 19,085 digits exceed
+    # the interpreter's int-to-text limit when the result is printed
+    proc = subprocess.run(_BASE + ["decompose", "--curve", "line", "--target", "3^40000"],
+                          capture_output=True, text=True, timeout=20)
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
+    assert doc["error"]["message"].startswith("output phase")
+    assert str(sys.get_int_max_str_digits()) in doc["error"]["message"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_long_coefficients_print_unchanged():
+    code, doc, _ = run_cli("decompose", "--curve", "line", "--target", "3^1000")
+    assert code == 0 and doc["verification"] is True
+    assert doc["target"] == str(3**1000)
+    assert doc["decomposition"] == [[f"-{3**1000}*x", "1"]]
+
+
+def test_localize_large_k_finishes():
+    # recombination starts from zero; adding zero must not raise f to the
+    # exponent 2k of the other summand
+    for curve, k in (("line minus x - 1", "100000"), ("line minus x^2 - 1", "1000000000")):
+        proc = subprocess.run(_BASE + ["localize", "--curve", curve, "--pairs", "x, 1",
+                                       "--k", k],
+                              capture_output=True, text=True, timeout=20)
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 0 and doc["verification"] is True
+        assert doc["target"] == f"(-1) / ({curve[len('line minus '):]})^{2 * int(k)}"
+
+
+# -- property: every input ends in a JSON document and a documented exit code --
+
+# raw characters, and token runs that parse more often than raw characters do
+_TEXT = st.one_of(
+    st.text(alphabet="0123456789xyz+-*/^(),; ", max_size=30),
+    st.lists(st.sampled_from(["x", "y", "z", "1", "2", "3", "^2", "^3", "+", "-", "*",
+                              "/", "(", ")", ",", ";", " "]),
+             max_size=30).map("".join).filter(lambda t: len(t) <= 30),
+)
+_CURVE = st.one_of(
+    _TEXT,
+    # valid curves, so that targets and pairs get past curve parsing
+    st.sampled_from(["line", "line minus x^2 - 1", "plane y^2 - x^3 - x",
+                     "space y - x^2; z - x^3 tau 1, 2x, 3x^2"]),
+    st.tuples(st.sampled_from(["line", "line minus ", "plane "]), _TEXT).map("".join),
+    st.tuples(_TEXT, _TEXT).map(lambda t: f"space {t[0]} tau {t[1]}"),
+)
+
+
+def _cli_args(command, curve, target, pairs, k, max_steps):
+    args = [command, f"--curve={curve}", f"--max-steps={max_steps}"]
+    if command in ("decompose", "verify"):
+        args.append(f"--target={target}")
+    if command in ("localize", "verify"):
+        args.append(f"--pairs={pairs}")
+    if command == "localize":
+        args.append(f"--k={k}")
+    return args
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+# argparse reads an option value of exactly "--" as an empty list
+@example(command="check", curve="--", target="", pairs="", k=0, max_steps=0)
+@example(command="verify", curve="line", target="--", pairs="--", k=0, max_steps=0)
+@given(command=st.sampled_from(["check", "decompose", "localize", "verify"]),
+       curve=_CURVE, target=_TEXT, pairs=_TEXT, k=st.integers(0, 3),
+       max_steps=st.integers(0, 5000))
+def test_cli_main_random_text(command, curve, target, pairs, k, max_steps):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(_cli_args(command, curve, target, pairs, k, max_steps))
+    doc = json.loads(out.getvalue())
+    assert code in (0, 1, 2, 3, 4)
+    assert doc["status"] in ("ok", "error") and doc["command"] == command
+    assert (code == 0) == (doc["status"] == "ok")

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bracketdec.curve import AffineLine, LocalizedLine, make_plane_curve, make_space_curve
 from bracketdec.errors import CurveMismatch
 from bracketdec.liealg import BracketDecomp, VField, apply_tau, bracket, recombine
-from bracketdec.poly import MonomialOrder, Poly, parse_poly
+from bracketdec.poly import MonomialOrder, Poly, parse_poly, partial_derivative
 
 
 def plane():
@@ -101,6 +102,49 @@ def test_bracket_matches_reduced_product_formula(rand_poly):
             v = VField(c.reduce(rand_poly(rng, variables=variables, max_degree=5)))
             a, b = u.coeff, v.coeff
             assert bracket(u, v).coeff == a * apply_tau(c, b) - b * apply_tau(c, a)
+
+
+def _chain_derivation(components, p):
+    """Reference derivation: a chain of products and sums of partial derivatives."""
+    acc = Poly.zero()
+    for comp, var in zip(components, "xyz"):
+        if not comp.is_zero():
+            acc = acc + comp * partial_derivative(p, var)
+    return acc
+
+
+def test_bracket_matches_chain_reference(rand_poly):
+    # the coefficient a D(b) - b D(a) of the lifts, as a chain of Poly
+    # operations, reduced once; bracket must give the same canonical terms
+    rng = random.Random(9106)
+    for c, variables in ((plane(), ("x", "y")), (twisted_cubic(), ("x", "y", "z"))):
+        comps = c.tau_components
+        for _ in range(40):
+            a = c.reduce(rand_poly(rng, variables=variables, max_degree=5, max_denominator=50))
+            b = c.reduce(rand_poly(rng, variables=variables, max_degree=5, max_denominator=50))
+            expected = c.reduce(a.poly * _chain_derivation(comps, b.poly)
+                                - b.poly * _chain_derivation(comps, a.poly))
+            assert bracket(VField(a), VField(b)).coeff.poly.terms == expected.poly.terms
+
+
+def test_apply_tau_localized_matches_quotient_rule(rand_poly):
+    rng = random.Random(9107)
+    for f in (parse_poly("x^2 - 1"), parse_poly("2x^3 + 1/3*x"), parse_poly("(x - 1)^2")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # (x - 1)^2 has a repeated root
+            line = LocalizedLine(f)
+        fx = partial_derivative(f, "x")
+        for _ in range(30):
+            n = rand_poly(rng, variables=("x",), max_degree=5, max_denominator=20)
+            e = line.elem(n, rng.randint(0, 3))
+            n, m = e.numerator, e.exponent
+            if m == 0:
+                expected = line.elem(partial_derivative(n, "x"), 0)
+            else:
+                expected = line.elem(partial_derivative(n, "x") * f - n * fx * m, m + 1)
+            got = apply_tau(line, e)
+            assert (got.numerator.terms, got.exponent) == \
+                (expected.numerator.terms, expected.exponent)
 
 
 def test_bracket_mismatch():

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracketdec import poly as poly_module
 from bracketdec.errors import ParseError, StepBudgetExceeded
 from bracketdec.poly import (
     MAX_NESTING,
@@ -287,6 +288,43 @@ def test_antiderivative_examples():
     assert antiderivative(parse_poly("y"), "x") == parse_poly("x*y")
 
 
+def _normalised_derivative(p, var):
+    """Reference: the derivative's terms rebuilt and re-sorted through Poly(...)."""
+    idx = "xyz".index(var)
+    return Poly([(tuple(v - 1 if i == idx else v for i, v in enumerate(m)), c * m[idx])
+                 for m, c in p.terms if m[idx]])
+
+
+def _normalised_antiderivative(p, var):
+    idx = "xyz".index(var)
+    return Poly([(tuple(v + 1 if i == idx else v for i, v in enumerate(m)), c / (m[idx] + 1))
+                 for m, c in p.terms])
+
+
+def _chain_apply_derivation(components, p):
+    """Reference: sum_i components[i] * d p / d v_i as a chain of products and sums."""
+    acc = Poly.zero()
+    for comp, var in zip(components, "xyz"):
+        if not comp.is_zero():
+            acc = acc + comp * _normalised_derivative(p, var)
+    return acc
+
+
+def test_calculus_matches_normalised_reference(rand_poly):
+    rng = random.Random(7007)
+    for max_denominator in (1, 10**6):
+        for _ in range(200):
+            p = rand_poly(rng, variables=("x", "y", "z"), max_degree=6, max_terms=10,
+                          max_denominator=max_denominator)
+            for var in "xyz":
+                assert partial_derivative(p, var).terms == _normalised_derivative(p, var).terms
+                assert antiderivative(p, var).terms == _normalised_antiderivative(p, var).terms
+            comps = [rand_poly(rng, variables=("x", "y", "z"), max_degree=3,
+                               max_denominator=max_denominator)
+                     for _ in range(rng.choice((2, 3)))]
+            assert apply_derivation(comps, p).terms == _chain_apply_derivation(comps, p).terms
+
+
 def test_antiderivative_inverts_derivative(rand_poly):
     rng = random.Random(7002)
     for _ in range(300):
@@ -408,22 +446,50 @@ def test_divide_cancel_and_recreate():
     assert _assert_divides_like_reference(p, [d], LEX) == 9
 
 
+def _monic(d, order):
+    """d with its leading coefficient under order replaced by 1."""
+    lm = d.leading_monomial(order)
+    return Poly([(m, 1 if m == lm else c) for m, c in d.terms])
+
+
 @pytest.mark.parametrize("order", [LEX, GRLEX])
-def test_divide_matches_reference(order, rand_poly):
+def test_divide_matches_reference(order, rand_poly, monkeypatch):
+    # record which loop each division takes: Fraction coefficients, or
+    # integer numerators for monic integer divisors
+    paths = []
+
+    def spy(heads):
+        paths.append(monic_integral(heads))
+        return paths[-1]
+
+    monic_integral = poly_module._monic_integral
+    monkeypatch.setattr(poly_module, "_monic_integral", spy)
     rng = random.Random(7005 if order is LEX else 7006)
     variables = ("x", "y", "z")
-    for _ in range(300):
-        divisors = [rand_poly(rng, variables=variables, max_degree=3, max_terms=4, nonzero=True)
-                    for _ in range(rng.randint(1, 4))]
-        # multiples of the divisors plus noise: reduction steps cancel
-        # dividend terms, and later steps recreate some of them
-        p = rand_poly(rng, variables=variables, max_degree=4)
-        for d in divisors:
-            p = p + rand_poly(rng, variables=variables, max_degree=2, max_terms=3) * d
-        steps = _assert_divides_like_reference(p, divisors, order)
-        if steps:
-            with pytest.raises(StepBudgetExceeded):
-                divide_multivariate(p, divisors, order, StepBudget(steps - 1))
+    for monic in (False, True):
+        for _ in range(300):
+            divisors = [rand_poly(rng, variables=variables, max_degree=3, max_terms=4,
+                                  nonzero=True)
+                        for _ in range(rng.randint(1, 4))]
+            if monic:
+                divisors = [_monic(d, order) for d in divisors]
+            # multiples of the divisors plus noise: reduction steps cancel
+            # dividend terms, and later steps recreate some of them; monic
+            # sets get denominators up to 10^12, and every fourth dividend
+            # is an exact combination of the divisors
+            max_denominator = 10**12 if monic else 1
+            p = Poly.zero()
+            if rng.randrange(4):
+                p = rand_poly(rng, variables=variables, max_degree=4,
+                              max_denominator=max_denominator)
+            for d in divisors:
+                p = p + rand_poly(rng, variables=variables, max_degree=2, max_terms=3,
+                                  max_denominator=max_denominator) * d
+            steps = _assert_divides_like_reference(p, divisors, order)
+            if steps:
+                with pytest.raises(StepBudgetExceeded):
+                    divide_multivariate(p, divisors, order, StepBudget(steps - 1))
+    assert set(paths) == {False, True}
 
 
 def test_divide_budget():
