@@ -45,6 +45,7 @@ from .groebner import (
 from .poly import (
     MonomialOrder,
     Poly,
+    StepBudget,
     apply_derivation,
     divide_multivariate,
     format_number,
@@ -121,6 +122,7 @@ class LocalizedElem:
 
     Kept in lowest terms with respect to the line's denominator: the stored
     numerator is not divisible by it unless the exponent is already zero.
+    The trial divisions share one budget of the line's max_steps steps.
     """
 
     __slots__ = ("curve", "numerator", "exponent")
@@ -135,8 +137,9 @@ class LocalizedElem:
         if numerator.is_zero():
             exponent = 0
         else:
+            budget = StepBudget(curve.max_steps)
             while exponent > 0:
-                quotients, rem = divide_multivariate(numerator, [f])
+                quotients, rem = divide_multivariate(numerator, [f], budget=budget)
                 if not rem.is_zero():
                     break
                 numerator = quotients[0]
@@ -232,12 +235,13 @@ class LocalizedLine(Curve):
 
     Coordinate ring Q[x][1/f]; the trivializing field is still d/dx.
     Warns when the denominator has a repeated root, since the squarefree
-    part defines the same open set.
+    part defines the same open set.  max_steps bounds the division steps of
+    each element's lowest-terms reduction.
     """
 
     variables = ("x",)
 
-    def __init__(self, denominator: Poly):
+    def __init__(self, denominator: Poly, *, max_steps: int = DEFAULT_MAX_STEPS):
         if not denominator.uses_only(("x",)):
             raise BadVariables("localization denominator must be univariate in x")
         if denominator.is_constant():
@@ -249,6 +253,7 @@ class LocalizedLine(Curve):
                 "its squarefree part defines the same ring",
                 stacklevel=2)
         self.denominator = denominator
+        self.max_steps = max_steps
 
     def elem(self, numerator: Poly, exponent: int = 0) -> LocalizedElem:
         return LocalizedElem(self, numerator, exponent)
@@ -337,13 +342,14 @@ class PlaneCurve(Curve):
         self.tau_components = (partial_derivative(equation, "y"),
                                -partial_derivative(equation, "x"))
         self.order = order
+        self.max_steps = max_steps
         self.gb = buchberger([equation], order, max_steps)
         self._dec_gb: Optional[GroebnerBasis] = None
 
     def reduce(self, p: Poly) -> RingElem:
         if not p.uses_only(("x", "y")):
             raise BadVariables("plane curve elements use x and y only")
-        return RingElem(self, normal_form(p, self.gb))
+        return RingElem(self, normal_form(p, self.gb, StepBudget(self.max_steps)))
 
     def decomposition_basis(self) -> GroebnerBasis:
         """Basis (1) of (P, Q, F) with its cofactor row, cached; P, Q the tau components.
@@ -404,10 +410,10 @@ class SpaceCurve(Curve):
         self.max_steps = max_steps
         self.gb = buchberger(list(gens), order, max_steps)
         for g in gens:
-            if not normal_form(apply_derivation(comps, g), self.gb).is_zero():
+            if not self.reduce(apply_derivation(comps, g)).is_zero():
                 raise DoesNotPreserveIdeal(
                     f"tau maps {g} outside the curve ideal")
-        if all(normal_form(c, self.gb).is_zero() for c in comps):
+        if all(self.reduce(c).is_zero() for c in comps):
             raise ZeroTau("tau vanishes identically on the curve")
         self._dec_gb = buchberger(list(comps) + list(gens), order, max_steps)
         cert = certificate_from_basis(Poly.one(), self._dec_gb)
@@ -417,7 +423,7 @@ class SpaceCurve(Curve):
         self.unit_cert = cert
 
     def reduce(self, p: Poly) -> RingElem:
-        return RingElem(self, normal_form(p, self.gb))
+        return RingElem(self, normal_form(p, self.gb, StepBudget(self.max_steps)))
 
     def decomposition_basis(self) -> GroebnerBasis:
         """Basis of (P, Q, R, generators...) with cofactors."""
@@ -469,7 +475,7 @@ def parse_curve(text: str, *,
     if s == "line":
         return AffineLine()
     if s.startswith("line minus "):
-        return LocalizedLine(parse_poly(s[len("line minus "):]))
+        return LocalizedLine(parse_poly(s[len("line minus "):]), max_steps=max_steps)
     if s.startswith("plane "):
         return make_plane_curve(parse_poly(s[len("plane "):]),
                                 order=order, max_steps=max_steps)

@@ -27,7 +27,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ParseError, StepBudgetExceeded
@@ -493,6 +493,8 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
         heads = [(dm, dc, [t for t in terms if t[0] != dm]) for (dm, dc), terms in heads]
     quotients: list[dict] = [{} for _ in divisors]
     rem: dict = {}
+    # the budget counts down in a local, written back when the loop ends
+    left = inf if budget is None else budget.remaining
     heap = [(heap_key(m), m) for m in acc]
     heapify(heap)
     while heap:
@@ -502,8 +504,10 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
         lc = acc.pop(lm)
         if not lc:
             continue
-        if budget is not None:
-            budget.spend()
+        left -= 1
+        if left < 0:
+            budget.remaining = 0
+            budget.spend()  # raises StepBudgetExceeded
         for i, (dm, dc, tail) in enumerate(heads):
             if mono_divides(dm, lm):
                 qm = mono_div(lm, dm)
@@ -524,6 +528,8 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
                 break
         else:
             rem[lm] = lc
+    if budget is not None:
+        budget.remaining = left
     if integral:
         quotients = [{m: Fraction(n, den) for m, n in q.items()} for q in quotients]
         rem = {m: Fraction(n, den) for m, n in rem.items()}

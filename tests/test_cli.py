@@ -6,6 +6,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,21 @@ def test_parse_coefficient_bits_bounded_exits_4():
     assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
     assert doc["error"]["message"].startswith("parse phase")
     assert "coefficient bits" in doc["error"]["message"]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("curve, target, steps", [
+    # the normal form of y^9999999 modulo y^2 - x^3 - x takes millions of steps
+    ("plane y^2 - x^3 - x", "y^9999999", "5000"),
+    # the lowest-terms check divides x^9999999 by x + 1, a step per quotient term
+    ("line minus x + 1", "x^9999999 / (x + 1)", "100"),
+])
+def test_curve_reduction_bounded_exits_4(curve, target, steps):
+    proc = subprocess.run(_BASE + ["decompose", "--curve", curve,
+                                   "--target", target, "--max-steps", steps],
+                          capture_output=True, text=True, timeout=20)
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
     assert "Traceback" not in proc.stderr
 
 

@@ -18,6 +18,7 @@ from bracketdec.errors import (
     DoesNotPreserveIdeal,
     NotSmooth,
     ParseError,
+    StepBudgetExceeded,
     UnitCertificateAbsent,
     ValidationError,
     ZeroTau,
@@ -243,6 +244,24 @@ def test_localized_parse_element():
 
 
 # -- curve grammar -------------------------------------------------------------------
+
+def test_reductions_spend_the_step_budget():
+    # each reduction gets its own budget of the curve's max_steps
+    # y^40 takes 231 steps modulo y^2 - x^3 - x, z^40 takes 41 on the
+    # twisted cubic
+    plane = parse_curve("plane y^2 - x^3 - x", max_steps=231)
+    assert plane.reduce(parse_poly("y^40")) == plane.reduce(parse_poly("y^40"))
+    with pytest.raises(StepBudgetExceeded):
+        plane.reduce(parse_poly("y^42"))
+    space = parse_curve("space y - x^2; z - x^3 tau 1, 2x, 3x^2", max_steps=40)
+    with pytest.raises(StepBudgetExceeded):
+        space.reduce(parse_poly("z^40"))
+    line = parse_curve("line minus x + 1", max_steps=50)
+    assert line.max_steps == 50
+    assert line.elem(parse_poly("(x + 1)^3"), 2).exponent == 0
+    with pytest.raises(StepBudgetExceeded):
+        line.elem(parse_poly("x^60"), 1)
+
 
 def test_parse_curve_variants():
     assert isinstance(parse_curve("line"), AffineLine)

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 import sympy
 
+from bracketdec.curve import parse_curve
 from bracketdec.errors import StepBudgetExceeded
 from bracketdec.groebner import (
     GroebnerBasis,
@@ -211,20 +213,50 @@ def _ideal_pool(rand_poly, seed=8102, max_denominator=1):
     return pool
 
 
-def _reference_buchberger(generators, order):
+def _reference_buchberger(generators, order, criteria=False):
     """Reference loop: scan every pair for the least (lcm key, i, j) on each
     iteration and recompute leading terms from the polynomials.
 
-    Returns the basis and the number of reduction steps it spent.
+    With criteria=True, each element joining the basis (generators
+    included) filters the pairs by the Gebauer-Moeller criteria, written
+    as plain scans: B on the waiting pairs, then M, F and the coprime rule
+    on the new pairs.  Without them, only coprime pairs are skipped, when
+    popped.  Returns the basis and the number of reduction steps it spent.
     """
     gens = tuple(generators)
     budget = StepBudget(10**6)
     ngen = len(gens)
-    polys, rows = [], []
+    polys, rows, pairs = [], [], []
+
+    def lm(i):
+        return polys[i].leading_monomial(order)
+
+    def lcm(i, j):
+        return mono_lcm(lm(i), lm(j))
+
+    def join(p, row):
+        polys.append(p)
+        rows.append(row)
+        t = len(polys) - 1
+        new = [(k, t) for k in range(t)]
+        if criteria:
+            pairs[:] = [(i, j) for i, j in pairs
+                        if not (mono_divides(lm(t), lcm(i, j)) and lcm(i, t) != lcm(i, j)
+                                and lcm(j, t) != lcm(i, j))]
+            new = [(k, t) for k, _ in new
+                   if not any(lcm(k2, t) != lcm(k, t) and mono_divides(lcm(k2, t), lcm(k, t))
+                              for k2 in range(t))]
+            survivors = new
+            new = []
+            for k, _ in survivors:
+                same = [k2 for k2, _ in survivors if lcm(k2, t) == lcm(k, t)]
+                if k == min(same) and not any(mono_coprime(lm(k2), lm(t)) for k2 in same):
+                    new.append((k, t))
+        pairs.extend(new)
+
     for j, g in enumerate(gens):
         if not g.is_zero():
-            polys.append(g)
-            rows.append(tuple(Poly.one() if t == j else Poly.zero() for t in range(ngen)))
+            join(g, tuple(Poly.one() if t == j else Poly.zero() for t in range(ngen)))
 
     def combination(base, quotients, qrows):
         out = list(base)
@@ -234,19 +266,16 @@ def _reference_buchberger(generators, order):
 
     def pair_key(pair):
         i, j = pair
-        lcm = mono_lcm(polys[i].leading_monomial(order), polys[j].leading_monomial(order))
-        return (order.key(lcm), i, j)
+        return (order.key(lcm(i, j)), i, j)
 
-    pairs = [(i, j) for j in range(len(polys)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(min(range(len(pairs)), key=lambda k: pair_key(pairs[k])))
         lmi, lci = polys[i].leading_term(order)
         lmj, lcj = polys[j].leading_term(order)
         if mono_coprime(lmi, lmj):
             continue
-        lcm = mono_lcm(lmi, lmj)
-        ui = Poly.monomial(mono_div(lcm, lmi), 1 / lci)
-        uj = Poly.monomial(mono_div(lcm, lmj), 1 / lcj)
+        ui = Poly.monomial(mono_div(lcm(i, j), lmi), 1 / lci)
+        uj = Poly.monomial(mono_div(lcm(i, j), lmj), 1 / lcj)
         s = ui * polys[i] - uj * polys[j]
         if s.is_zero():
             continue
@@ -255,16 +284,12 @@ def _reference_buchberger(generators, order):
             continue
         row = combination([ui * a - uj * b for a, b in zip(rows[i], rows[j])], quotients, rows)
         inv = 1 / rem.leading_term(order)[1]
-        polys.append(rem * inv)
-        rows.append(tuple(r * inv for r in row))
-        pairs.extend((k, len(polys) - 1) for k in range(len(polys) - 1))
+        join(rem * inv, tuple(r * inv for r in row))
 
     kept = []
-    by_lm = sorted(range(len(polys)),
-                   key=lambda i: (order.key(polys[i].leading_monomial(order)), i))
+    by_lm = sorted(range(len(polys)), key=lambda i: (order.key(lm(i)), i))
     for i in by_lm:
-        lm = polys[i].leading_monomial(order)
-        if not any(mono_divides(polys[k].leading_monomial(order), lm) for k in kept):
+        if not any(mono_divides(lm(k), lm(i)) for k in kept):
             kept.append(i)
     final = []
     for i in kept:
@@ -282,8 +307,11 @@ def _reference_buchberger(generators, order):
 
 @pytest.mark.parametrize("order", [LEX, GRLEX])
 def test_buchberger_matches_reference_loop(order, rand_poly):
-    # the pair heap pops pairs in the order of the scan, so the basis, the
-    # cofactor rows and the steps spent are all the same
+    # the pair heap pops pairs in the order of the scan and the criteria drop
+    # the same pairs, so the basis, the cofactor rows and the steps spent are
+    # all the same as the reference's with criteria; without criteria the
+    # reference reduces the dropped pairs to zero, so it reaches the same
+    # basis and rows in at least as many steps
     pools = _ideal_pool(rand_poly) + _ideal_pool(rand_poly, seed=8105, max_denominator=12)
     # generators sharing their leading monomial y^3: every pair's lcm ties,
     # so only the (i, j) tie-break orders them
@@ -292,12 +320,19 @@ def test_buchberger_matches_reference_loop(order, rand_poly):
         pools.append([Poly.monomial((0, 3, 0), rng.randint(1, 3))
                       + rand_poly(rng, variables=("x", "y"), max_degree=2, max_terms=3)
                       for _ in range(rng.randint(3, 4))])
+    fewer = 0
     for gens in pools:
-        expected, steps = _reference_buchberger(gens, order)
+        expected, steps = _reference_buchberger(gens, order, criteria=True)
         assert buchberger(gens, order, max_steps=steps) == expected
         if steps:
             with pytest.raises(StepBudgetExceeded):
                 buchberger(gens, order, max_steps=steps - 1)
+        plain, plain_steps = _reference_buchberger(gens, order)
+        assert plain == expected
+        assert plain_steps >= steps
+        fewer += plain_steps > steps
+    # the criteria must actually drop pairs that would have cost steps
+    assert fewer > 0
 
 
 @pytest.mark.parametrize("order", [LEX, GRLEX])
@@ -305,6 +340,90 @@ def test_reduced_basis_matches_sympy(order, rand_poly):
     for gens in _ideal_pool(rand_poly):
         mine = {to_sympy(b) for b in buchberger(gens, order).basis}
         assert mine == sympy_basis(gens, order)
+
+
+# Jacobian ideals (F, F_x, F_y) of plane curves of degree 4 and 5, drawn
+# from the smooth and singular families of the curves benchmark workload:
+# y^2 or y^3 minus a squarefree h(x), Fermat curves and their shears
+# (smooth), and curves with every term of degree two or more at a point
+# (singular).
+JACOBIAN_CURVES = (
+    ("y^2 - (x - 1)*(x + 2)*(x + 3)*(x + 4)", True),
+    ("x^4 + (y - 2*x)^4 - 1", True),
+    ("y^2 - (x - 2*y + 1)*(x - 2*y + 2)*(x - 2*y - 3)*(x - 2*y - 4)", True),
+    ("(y + 1)^2 - (x + 2)^2*(x - 1)*(x + 2)", False),
+    ("(y - 2*x^2 - 3*x)^2 - (x + 1)*(x + 2)*(x + 3)*(x + 4)", True),
+    ("y^3 - (x - 1)*(x - 2)*(x + 3)*(x - 4)", True),
+    ("(y - 1)^3 + (x + 2)^2*(y - 1) + (x + 2)^4 + 5*(x + 2)^2", False),
+    ("x^4 + y^4 - 3", True),
+    ("y^2 - (x - 1)*(x - 2)*(x - 3)*(x + 4)*(x - 5)", True),
+    ("x^5 + (y - x)^5 - 3", True),
+    ("y^2 - (x - y + 1)*(x - y - 2)*(x - y + 3)*(x - y - 4)*(x - y - 5)", True),
+    ("(y - 1)^2 - (x - 2)^2*(x + 1)*(x + 2)*(x + 3)", False),
+    ("(y - x^2 - x)^2 - (x - 1)*(x - 2)*(x + 3)*(x - 4)*(x - 5)", True),
+    ("y^3 - (x + 1)*(x - 2)*(x - 3)*(x - 4)*(x + 5)", True),
+    ("(y - 1)^3 + (x + 2)^2*(y - 1) + (x + 2)^5 + 5*(x + 2)^2", False),
+    ("x^5 + y^5 - 2", True),
+    ("y^2 - (x + y + 1)*(x + y - 2)*(x + y + 3)*(x + y + 4)", True),
+    ("(y + x^2)^2 - (x + 1)*(x + 2)*(x + 3)*(x - 4)", True),
+    ("y^3 - (x + 1)*(x + 2)*(x + 3)*(x + 4)", True),
+)
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX])
+def test_jacobian_bases_match_sympy(order):
+    for text, smooth in JACOBIAN_CURVES:
+        F = parse_poly(text)
+        gens = [F, partial_derivative(F, "x"), partial_derivative(F, "y")]
+        gb = buchberger(gens, order)
+        assert {to_sympy(b) for b in gb.basis} == sympy_basis(gens, order), text
+        assert gb.contains_one() == smooth, text
+
+
+# SHA-256 of the comma-joined certificate cofactors, as the first version
+# with cofactor-row fusion and pair criteria must reproduce them: the
+# criteria only drop pairs that reduce to zero, so no certificate changes.
+FROZEN_CERTIFICATES = {
+    ("plane", "y^2 - (x^3 + x)"):
+        "9826723fcf86724b77970e5adeeb5e343ce2a4c72536982eadde1c260bae9e07",
+    ("plane", "y^2 - (x^3 - x + 1)"):
+        "6b7bdea8125c94e90562671904941904ae93879732b7700b65c13d4bf0da467b",
+    ("plane", "y^2 - (x^5 + x + 1)"):
+        "4fac2b30df3e3cdc389784abe9e627a625be7efd935af1959362d49cbc2dace2",
+    ("plane", "y^2 - (x^5 - x)"):
+        "a6153f6ae848777201b376dd70947f4b5baf988d7e3077385ca805f461cabe22",
+    ("plane", "y^2 - (x^7 + x + 1)"):
+        "a5169562d6c1c1667e8a8358dc81c1cd3e91e447b6bb100a9779c0800bed2abb",
+    ("space", "y - x^2; z - x^3 tau 1, 2x, 3x^2"):
+        "6366ec3acc4737636b0b2ef3dfd327b97635e0a04a15a64d94d307e5928cdaa0",
+    ("space", "y^2 - (x^3 + x); z tau 2y, 3x^2 + 1, 0"):
+        "d518dbf47f5c5a86bdc4af6e79c956e0db54d28e65c18aeb2690913673453fc3",
+    ("space", "y^2 - (x^5 + x + 1); z tau 2y, 5x^4 + 1, 0"):
+        "48a8bacb13ad1b4211490fd6cfcca8159347cf3ff009f1d618fd36c250d7365e",
+}
+FROZEN_SEXTIC = {
+    LEX: "7fe97198f15e1a4c95f1a1f0af6f7cb391844dc77d9788834f0975f93ab5c788",
+    GRLEX: "57a6bd347be3bdd51f6f95967023f566d45506c9f18854ea9fbd816373c96d8a",
+}
+
+
+def _cofactor_digest(cert):
+    return hashlib.sha256(",".join(str(c) for c in cert.cofactors).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX])
+def test_certificates_frozen(order):
+    for (kind, text), expected in FROZEN_CERTIFICATES.items():
+        curve = parse_curve(f"{kind} {text}", order=order)
+        if kind == "plane":
+            cert = curve.smooth_cert
+        elif order is LEX:
+            cert = curve.unit_cert
+        else:
+            continue
+        assert _cofactor_digest(cert) == expected, text
+    sextic = parse_curve("plane x^6 + y^6 + 2x^3y + x + y + 1", order=order)
+    assert _cofactor_digest(sextic.smooth_cert) == FROZEN_SEXTIC[order]
 
 
 def test_spolynomial_reduction_invariant(rand_poly):
