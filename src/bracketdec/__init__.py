@@ -46,11 +46,8 @@ from .groebner import (
     MembershipCertificate,
     buchberger,
     certificate_from_basis,
-    is_smooth_plane,
-    membership_certificate,
     normal_form,
     plane_smoothness_certificate,
-    preserves_ideal,
 )
 from .liealg import BracketDecomp, VField, apply_tau, bracket, recombine
 from .poly import (
@@ -75,9 +72,8 @@ __all__ = [
     "UnitCertificateAbsent", "VField", "ValidationError", "ZeroTau",
     "antiderivative", "apply_derivation", "apply_tau", "bracket", "buchberger",
     "certificate_from_basis", "divide_multivariate", "gcd_univariate",
-    "is_smooth_plane", "localize_decomp", "make_plane_curve", "make_space_curve",
-    "membership_certificate", "normal_form", "parse_curve", "parse_poly",
-    "partial_derivative", "plane_smoothness_certificate", "preserves_ideal",
+    "localize_decomp", "make_plane_curve", "make_space_curve", "normal_form",
+    "parse_curve", "parse_poly", "partial_derivative", "plane_smoothness_certificate",
     "rational_decompose", "recombine", "single_bracket_line", "solve_rgh",
     "three_bracket_space", "two_bracket_plane",
 ]

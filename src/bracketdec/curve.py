@@ -211,6 +211,7 @@ class AffineLine(Curve):
     """The affine line: coordinate ring Q[x], trivializing field d/dx."""
 
     variables = ("x",)
+    tau_components = (Poly.one(),)
 
     def reduce(self, p: Poly) -> RingElem:
         if not p.uses_only(("x",)):
@@ -234,9 +235,8 @@ class LocalizedLine(Curve):
     """The affine line with the zero set of a fixed denominator removed.
 
     Coordinate ring Q[x][1/f]; the trivializing field is still d/dx.
-    Warns when the denominator has a repeated root, since the squarefree
-    part defines the same open set.  max_steps bounds the division steps of
-    each element's lowest-terms reduction.
+    max_steps bounds the division steps of each element's lowest-terms
+    reduction and of parsing each element's denominator.
     """
 
     variables = ("x",)
@@ -246,12 +246,6 @@ class LocalizedLine(Curve):
             raise BadVariables("localization denominator must be univariate in x")
         if denominator.is_constant():
             raise ValidationError("localization denominator must be nonconstant")
-        g = gcd_univariate(denominator, partial_derivative(denominator, "x"))
-        if not g.is_constant():
-            warnings.warn(
-                "localization denominator has a repeated root; "
-                "its squarefree part defines the same ring",
-                stacklevel=2)
         self.denominator = denominator
         self.max_steps = max_steps
 
@@ -270,8 +264,9 @@ class LocalizedLine(Curve):
         den = parse_poly(split[1])
         f = self.denominator
         m = 0
+        budget = StepBudget(self.max_steps)
         while not den.is_constant():
-            quotients, rem = divide_multivariate(den, [f])
+            quotients, rem = divide_multivariate(den, [f], budget=budget)
             if not rem.is_zero():
                 raise ParseError(
                     "element denominator must be a constant multiple of a power "
@@ -323,8 +318,9 @@ class PlaneCurve(Curve):
     (dF/dy, -dF/dx).  The constructor stores the unit certificate for the
     Jacobian ideal (F, dF/dx, dF/dy); its existence is exactly smoothness,
     and it is also what makes the Hamiltonian field nowhere zero on the
-    curve.  The equation is assumed irreducible over Q; this is a documented
-    precondition and is not checked.
+    curve.  The construction uses only smoothness and that certificate, so
+    a reducible smooth equation works too; irreducibility is what makes the
+    Lie algebra of vector fields simple, not a precondition of the code.
     """
 
     def __init__(self, equation: Poly, *,
@@ -389,8 +385,9 @@ class SpaceCurve(Curve):
     preserves the curve ideal, is not identically zero on the curve, and
     generates the unit ideal together with the curve generators; the last
     condition is witnessed by a stored certificate and makes the field
-    nowhere zero on the curve.  The ideal is assumed to cut out a smooth
-    irreducible curve; this is a documented precondition and is not checked.
+    nowhere zero on the curve.  The ideal is assumed to cut out a curve,
+    which is not checked; irreducibility is not needed, since the
+    construction uses only that certificate.
     """
 
     def __init__(self, generators: Sequence[Poly], tau_components: Sequence[Poly], *,
@@ -448,16 +445,9 @@ class SpaceCurve(Curve):
         return f"SpaceCurve([{gens}])"
 
 
-def make_plane_curve(equation: Poly, *,
-                     order: MonomialOrder = MonomialOrder.LEX,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> PlaneCurve:
-    return PlaneCurve(equation, order=order, max_steps=max_steps)
-
-
-def make_space_curve(generators: Sequence[Poly], tau_components: Sequence[Poly], *,
-                     order: MonomialOrder = MonomialOrder.LEX,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> SpaceCurve:
-    return SpaceCurve(generators, tau_components, order=order, max_steps=max_steps)
+# the former factory functions, kept as aliases for existing callers
+make_plane_curve = PlaneCurve
+make_space_curve = SpaceCurve
 
 
 _SPACE_TAU_RE = re.compile(r"\btau\b")
@@ -469,16 +459,24 @@ def parse_curve(text: str, *,
     """Parse a curve description.
 
     Grammar: `line` | `line minus <f>` | `plane <F>` |
-    `space <g1>; <g2> [; <g3>] tau <P>, <Q>, <R>`.
+    `space <g1>; <g2> [; <g3>] tau <P>, <Q>, <R>`.  Warns when the f of
+    `line minus <f>` has a repeated root, since its squarefree part defines
+    the same open set.
     """
     s = text.strip()
     if s == "line":
         return AffineLine()
     if s.startswith("line minus "):
-        return LocalizedLine(parse_poly(s[len("line minus "):]), max_steps=max_steps)
+        line = LocalizedLine(parse_poly(s[len("line minus "):]), max_steps=max_steps)
+        f = line.denominator
+        if not gcd_univariate(f, partial_derivative(f, "x")).is_constant():
+            warnings.warn(
+                "localization denominator has a repeated root; "
+                "its squarefree part defines the same ring",
+                stacklevel=2)
+        return line
     if s.startswith("plane "):
-        return make_plane_curve(parse_poly(s[len("plane "):]),
-                                order=order, max_steps=max_steps)
+        return PlaneCurve(parse_poly(s[len("plane "):]), order=order, max_steps=max_steps)
     if s.startswith("space "):
         rest = s[len("space "):]
         parts = _SPACE_TAU_RE.split(rest)
@@ -492,5 +490,5 @@ def parse_curve(text: str, *,
             raise ParseError("tau clause needs exactly three components")
         gens = [parse_poly(t) for t in gen_texts]
         comps = [parse_poly(t) for t in comp_texts]
-        return make_space_curve(gens, comps, order=order, max_steps=max_steps)
+        return SpaceCurve(gens, comps, order=order, max_steps=max_steps)
     raise ParseError(f"unrecognized curve description: {text!r}")

@@ -35,18 +35,14 @@ from .poly import Poly, antiderivative, partial_derivative
 _HALF = Fraction(1, 2)
 
 
-def _verified(curve, pairs, target_coeff, trace, brackets=None) -> BracketDecomp:
+def _verified(curve, pairs, brackets, target_coeff, trace) -> BracketDecomp:
     """Assemble a decomposition and compare the field it presents with the target.
 
-    brackets, when given, are the already computed [u, v] of the pairs, and
-    their sum is the presented field; otherwise the pairs are recombined.
+    brackets are the already computed [u, v] of the pairs; their sum is the
+    presented field.
     """
     decomp = BracketDecomp(curve, tuple(pairs), trace)
-    if brackets is None:
-        field = recombine(decomp)
-    else:
-        field = sum(brackets, VField(curve.zero()))
-    if field.coeff != target_coeff:
+    if sum(brackets, VField(curve.zero())).coeff != target_coeff:
         raise CertificateFailure("decomposition does not recombine to the target")
     return decomp
 
@@ -58,11 +54,11 @@ def single_bracket_line(target: RingElem,
     if not isinstance(line, AffineLine):
         raise CurveMismatch("single_bracket_line expects an element of the line")
     if target.is_zero():
-        return _verified(line, (), target, {"method": "line"} if trace else None)
+        return _verified(line, (), (), target, {"method": "line"} if trace else None)
     h_anti = antiderivative(target.poly, "x")
     pair = (VField(line.reduce(-h_anti)), VField(line.one()))
     info = {"method": "line", "antiderivative": str(h_anti)} if trace else None
-    return _verified(line, (pair,), target, info)
+    return _verified(line, (pair,), (bracket(*pair),), target, info)
 
 
 def solve_rgh(f_cof: Poly, g_cof: Poly, h_cof: Poly):
@@ -101,7 +97,7 @@ def _certificate_decomp(curve, target: RingElem, coords: tuple, method: str,
     decomposition basis; it needs no division.
     """
     if target.is_zero():
-        return _verified(curve, (), target, {"method": method} if trace else None, ())
+        return _verified(curve, (), (), target, {"method": method} if trace else None)
     dec_gb = curve.decomposition_basis()
     if not dec_gb.contains_one():
         raise CertificateFailure(
@@ -125,7 +121,7 @@ def _certificate_decomp(curve, target: RingElem, coords: tuple, method: str,
                 "r": str(r),
                 **{name: str(p) for name, (_, p) in zip(("g", "h"), extra)},
                 "f": str(f)}
-    return _verified(curve, pairs, target, info, brackets)
+    return _verified(curve, pairs, brackets, target, info)
 
 
 def two_bracket_plane(curve: PlaneCurve, target: RingElem,
@@ -168,16 +164,14 @@ def localize_decomp(decomp: BracketDecomp, denominator: Poly, k: int,
     k = int(k)
     if k < 0:
         raise ValueError("localization exponent must be nonnegative")
-    line = LocalizedLine(denominator)
+    line = LocalizedLine(denominator)  # validates the denominator
     original = recombine(decomp)
     pairs = tuple(
         (VField(line.elem(u.coeff.poly, k)), VField(line.elem(v.coeff.poly, k)))
         for u, v in decomp.pairs)
     target = line.elem(original.coeff.poly, 2 * k)
     info = {"method": "localize", "k": k} if trace else None
-    out = _verified(line, pairs, target, info)
-    assert out.length == decomp.length
-    return out
+    return _verified(line, pairs, [bracket(u, v) for u, v in pairs], target, info)
 
 
 def rational_decompose(denominator: Poly, target: LocalizedElem,
@@ -194,7 +188,7 @@ def rational_decompose(denominator: Poly, target: LocalizedElem,
         raise ValueError("denominator does not match the target's curve")
     line = target.curve
     if target.is_zero():
-        return _verified(line, (), target, {"method": "rational"} if trace else None)
+        return _verified(line, (), (), target, {"method": "rational"} if trace else None)
     m = target.exponent
     k = (m + 1) // 2
     scaled = target.numerator * denominator ** (2 * k - m)
@@ -204,4 +198,4 @@ def rational_decompose(denominator: Poly, target: LocalizedElem,
     info = None
     if trace:
         info = {"method": "rational", "k": k, "scaled_numerator": str(scaled)}
-    return _verified(line, (pair,), target, info)
+    return _verified(line, (pair,), (bracket(*pair),), target, info)

@@ -18,7 +18,6 @@ from .poly import (
     MonomialOrder,
     Poly,
     StepBudget,
-    apply_derivation,
     divide_multivariate,
     mono_coprime,
     mono_divides,
@@ -230,15 +229,6 @@ def certificate_from_basis(target: Poly, gb: GroebnerBasis,
     return MembershipCertificate(target, gb.generators, cofs)
 
 
-def membership_certificate(target: Poly, generators: Sequence[Poly],
-                           order: MonomialOrder = MonomialOrder.LEX,
-                           max_steps: int = DEFAULT_MAX_STEPS
-                           ) -> Optional[MembershipCertificate]:
-    """Decide membership of target in the generators' ideal, with witness."""
-    gb = buchberger(generators, order, max_steps)
-    return certificate_from_basis(target, gb)
-
-
 def plane_smoothness_certificate(equation: Poly,
                                  order: MonomialOrder = MonomialOrder.LEX,
                                  max_steps: int = DEFAULT_MAX_STEPS
@@ -256,29 +246,4 @@ def plane_smoothness_certificate(equation: Poly,
     gens = [equation,
             partial_derivative(equation, "x"),
             partial_derivative(equation, "y")]
-    return membership_certificate(Poly.one(), gens, order, max_steps)
-
-
-def is_smooth_plane(equation: Poly,
-                    order: MonomialOrder = MonomialOrder.LEX,
-                    max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    return plane_smoothness_certificate(equation, order, max_steps) is not None
-
-
-def preserves_ideal(tau_components: Sequence[Poly],
-                    generators: Sequence[Poly],
-                    order: MonomialOrder = MonomialOrder.LEX,
-                    max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """True when the derivation maps every generator back into the ideal.
-
-    tau_components are the coefficients of d/dx, d/dy, d/dz; two components
-    are read as a derivation with zero z part.
-    """
-    comps = tuple(tau_components)
-    if len(comps) == 2:
-        comps = comps + (Poly.zero(),)
-    if len(comps) != 3:
-        raise ValueError("a derivation needs two or three components")
-    gb = buchberger(generators, order, max_steps)
-    return all(normal_form(apply_derivation(comps, g), gb).is_zero()
-               for g in generators)
+    return certificate_from_basis(Poly.one(), buchberger(gens, order, max_steps))

@@ -5,10 +5,11 @@ trivializing field tau, and
 
     [a tau, b tau] = (a tau(b) - b tau(a)) tau,
 
-so the whole Lie algebra is carried by coordinate-ring elements.  tau acts
-on the line and localized line as d/dx, and on plane and space curves as
-the stored component derivation applied to any lift of the element (the
-ideal is preserved, so the result does not depend on the lift).
+so the whole Lie algebra is carried by coordinate-ring elements.  On the
+line, plane and space curves tau is the curve's stored component
+derivation (on the line the one component (1), i.e. d/dx), applied to any
+lift of the element (the ideal is preserved, so the result does not depend
+on the lift).  On a localized line tau is d/dx by the quotient rule.
 """
 
 from __future__ import annotations
@@ -17,15 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .curve import (
-    AffineLine,
-    Curve,
-    LocalizedElem,
-    LocalizedLine,
-    PlaneCurve,
-    RingElem,
-    SpaceCurve,
-)
+from .curve import Curve, LocalizedElem, RingElem
 from .errors import CurveMismatch
 from .poly import _sum_of_products, apply_derivation, partial_derivative
 
@@ -74,9 +67,7 @@ def apply_tau(curve: Curve, elem: Element) -> Element:
     """tau applied to a coordinate-ring element, as an element again."""
     if elem.curve != curve:
         raise CurveMismatch("element does not live on the given curve")
-    if isinstance(curve, AffineLine):
-        return curve.reduce(partial_derivative(elem.poly, "x"))
-    if isinstance(curve, LocalizedLine):
+    if isinstance(elem, LocalizedElem):
         # quotient rule for n / f^m
         n, m = elem.numerator, elem.exponent
         f = curve.denominator
@@ -85,23 +76,21 @@ def apply_tau(curve: Curve, elem: Element) -> Element:
         num = _sum_of_products(((partial_derivative(n, "x"), f),
                                 (n, partial_derivative(f, "x") * -m)))
         return curve.elem(num, m + 1)
-    if isinstance(curve, (PlaneCurve, SpaceCurve)):
-        return curve.reduce(apply_derivation(curve.tau_components, elem.poly))
-    raise TypeError(f"unsupported curve model {type(curve).__name__}")
+    return curve.reduce(apply_derivation(curve.tau_components, elem.poly))
 
 
 def bracket(u: VField, v: VField) -> VField:
     """[u, v] = (a tau(b) - b tau(a)) tau for u = a tau, v = b tau.
 
-    On plane and space curves the coefficient is computed on the lifts and
-    reduced once: normal forms are linear and unique, so this equals the
-    product of the reduced factors.
+    For polynomial-ring elements (line, plane and space curves) the
+    coefficient is computed on the lifts and reduced once: normal forms are
+    linear and unique, so this equals the product of the reduced factors.
     """
     if u.curve != v.curve:
         raise CurveMismatch("vector fields live on different curves")
     c = u.curve
     a, b = u.coeff, v.coeff
-    if isinstance(c, (PlaneCurve, SpaceCurve)):
+    if isinstance(a, RingElem):
         comps = c.tau_components
         return VField(c.reduce(_sum_of_products(((a.poly, apply_derivation(comps, b.poly)),
                                                  (-b.poly, apply_derivation(comps, a.poly))))))

@@ -17,16 +17,16 @@ RATIONAL_F = ("x", "x^2 - 1", "x^3 - x", "x(x - 1)(x - 2)(x - 3)")
 
 
 def _plane_corpus():
-    return [bd.make_plane_curve(bd.parse_poly(f"y^2 - ({h})")) for h in HYPERELLIPTIC_H]
+    return [bd.PlaneCurve(bd.parse_poly(f"y^2 - ({h})")) for h in HYPERELLIPTIC_H]
 
 
 def _space_corpus():
-    curves = [bd.make_space_curve(
+    curves = [bd.SpaceCurve(
         [bd.parse_poly("y - x^2"), bd.parse_poly("z - x^3")],
         [bd.parse_poly("1"), bd.parse_poly("2x"), bd.parse_poly("3x^2")])]
     for htext in ("x^3 + x", "x^5 + x + 1"):
         eq = bd.parse_poly(f"y^2 - ({htext})")
-        curves.append(bd.make_space_curve(
+        curves.append(bd.SpaceCurve(
             [eq, bd.parse_poly("z")],
             [bd.partial_derivative(eq, "y"), -bd.partial_derivative(eq, "x"),
              bd.Poly.zero()]))
@@ -159,13 +159,13 @@ def test_criterion_5_smoothness_matches_gcd_oracle(rand_poly):
             h = t * t * s
         else:
             h = rand_poly(rng, variables=("x",), max_degree=9, max_terms=10)
-        got = bd.is_smooth_plane(y2 - h)
+        got = bd.plane_smoothness_certificate(y2 - h) is not None
         expected = _oracle_smooth(h)
         assert got == expected, f"disagreement at h = {h}"
         checked += 1
         smooth_count += got
     print(f"\nPASS criterion 5: {checked} random y^2 - h(x) (deg h <= 9), "
-          f"is_smooth_plane always matches the gcd oracle "
+          f"the smoothness certificate always matches the gcd oracle "
           f"({smooth_count} smooth / {checked - smooth_count} singular)")
 
 

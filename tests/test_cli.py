@@ -105,6 +105,16 @@ def test_curve_reduction_bounded_exits_4(curve, target, steps):
     assert "Traceback" not in proc.stderr
 
 
+def test_element_denominator_parse_bounded_exits_4():
+    # parsing 1 / x^1000000 divides the denominator by x a million times
+    proc = subprocess.run(_BASE + ["decompose", "--curve", "line minus x",
+                                   "--target", "1 / x^1000000", "--max-steps", "10"],
+                          capture_output=True, text=True, timeout=20)
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
+    assert "Traceback" not in proc.stderr
+
+
 def test_decompose_plane():
     code, doc, _ = run_cli("decompose", "--curve", "plane y^2 - x^3 - x",
                            "--target", "1")

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,6 @@ from bracketdec.curve import (
     LocalizedLine,
     PlaneCurve,
     SpaceCurve,
-    make_plane_curve,
-    make_space_curve,
     parse_curve,
 )
 from bracketdec.errors import (
@@ -23,7 +22,7 @@ from bracketdec.errors import (
     ValidationError,
     ZeroTau,
 )
-from bracketdec.decompose import two_bracket_plane
+from bracketdec.decompose import localize_decomp, single_bracket_line, two_bracket_plane
 from bracketdec.groebner import buchberger
 from bracketdec.poly import MonomialOrder, Poly, parse_poly, partial_derivative
 
@@ -34,14 +33,14 @@ _PLANE_CORPUS.append(("x^4 + y^4 - 1", MonomialOrder.GRLEX))
 
 
 def twisted_cubic():
-    return make_space_curve([parse_poly("y - x^2"), parse_poly("z - x^3")],
-                            [parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")])
+    return SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
+                      [parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")])
 
 
 # -- plane curves ---------------------------------------------------------------
 
 def test_plane_curve_construction():
-    c = make_plane_curve(parse_poly("y^2 - x^3 - x"))
+    c = PlaneCurve(parse_poly("y^2 - x^3 - x"))
     assert c.tau_components == (parse_poly("2y"), parse_poly("3x^2 + 1"))
     assert c.smooth_cert.target == Poly.one()
     assert c.reduce(parse_poly("y^2")).poly == parse_poly("x^3 + x")
@@ -51,7 +50,7 @@ def test_plane_curve_construction():
 def test_plane_decomposition_basis_matches_buchberger(equation, order):
     # the row taken from the smoothness certificate is the row Buchberger
     # computes on (P, Q, F), so decompositions stay byte-identical
-    c = make_plane_curve(parse_poly(equation), order=order)
+    c = PlaneCurve(parse_poly(equation), order=order)
     P, Q = c.tau_components
     assert c.decomposition_basis() == buchberger([P, Q, c.equation], order)
 
@@ -70,7 +69,7 @@ def test_plane_curve_runs_buchberger_once_on_jacobian(monkeypatch):
     monkeypatch.setattr(bracketdec.groebner, "buchberger", counting)
     monkeypatch.setattr(bracketdec.curve, "buchberger", counting)
     F = parse_poly("y^2 - x^3 - x")
-    c = make_plane_curve(F)
+    c = PlaneCurve(F)
     decomp = two_bracket_plane(c, c.reduce(parse_poly("x*y + 1")))
     assert decomp.length <= 2
     Fx, Fy = partial_derivative(F, "x"), partial_derivative(F, "y")
@@ -81,15 +80,15 @@ def test_plane_curve_runs_buchberger_once_on_jacobian(monkeypatch):
 
 def test_plane_curve_rejects():
     with pytest.raises(NotSmooth):
-        make_plane_curve(parse_poly("y^2 - x^3"))
+        PlaneCurve(parse_poly("y^2 - x^3"))
     with pytest.raises(BadVariables):
-        make_plane_curve(parse_poly("y^2 - z"))
+        PlaneCurve(parse_poly("y^2 - z"))
     with pytest.raises(ValidationError):
-        make_plane_curve(parse_poly("7"))
+        PlaneCurve(parse_poly("7"))
 
 
 def test_plane_reduce_rejects_z():
-    c = make_plane_curve(parse_poly("y^2 - x^3 - x"))
+    c = PlaneCurve(parse_poly("y^2 - x^3 - x"))
     with pytest.raises(BadVariables):
         c.reduce(parse_poly("z"))
 
@@ -97,12 +96,12 @@ def test_plane_reduce_rejects_z():
 def test_rational_embedding_is_smooth():
     # x -> (x, 1/f): the graph curve f(x) y = 1 always has a unit Jacobian
     for ftext in ("x", "x^2 - 1", "x^3 - x"):
-        c = make_plane_curve(parse_poly(f"({ftext}) * y - 1"))
+        c = PlaneCurve(parse_poly(f"({ftext}) * y - 1"))
         assert c.smooth_cert is not None
 
 
 def test_ring_elem_arithmetic_is_homomorphic(rand_poly):
-    c = make_plane_curve(parse_poly("y^2 - x^3 - x"))
+    c = PlaneCurve(parse_poly("y^2 - x^3 - x"))
     rng = random.Random(9001)
     for _ in range(50):
         p = rand_poly(rng, variables=("x", "y"), max_degree=4)
@@ -114,16 +113,16 @@ def test_ring_elem_arithmetic_is_homomorphic(rand_poly):
 
 
 def test_curve_equality_includes_order():
-    a = make_plane_curve(parse_poly("y^2 - x^3 - x"))
-    b = make_plane_curve(parse_poly("y^2 - x^3 - x"))
-    g = make_plane_curve(parse_poly("y^2 - x^3 - x"), order=MonomialOrder.GRLEX)
+    a = PlaneCurve(parse_poly("y^2 - x^3 - x"))
+    b = PlaneCurve(parse_poly("y^2 - x^3 - x"))
+    g = PlaneCurve(parse_poly("y^2 - x^3 - x"), order=MonomialOrder.GRLEX)
     assert a == b and hash(a) == hash(b)
     assert a != g
 
 
 def test_elements_of_different_curves_do_not_mix():
-    a = make_plane_curve(parse_poly("y^2 - x^3 - x"))
-    b = make_plane_curve(parse_poly("y^2 - x^3 + x + 1"))
+    a = PlaneCurve(parse_poly("y^2 - x^3 - x"))
+    b = PlaneCurve(parse_poly("y^2 - x^3 + x + 1"))
     with pytest.raises(CurveMismatch):
         a.one() + b.one()
 
@@ -138,39 +137,39 @@ def test_space_curve_construction():
 
 
 def test_space_curve_embedded_plane():
-    c = make_space_curve([parse_poly("y^2 - x^3 - x"), parse_poly("z")],
-                         [parse_poly("2y"), parse_poly("3x^2 + 1"), Poly.zero()])
+    c = SpaceCurve([parse_poly("y^2 - x^3 - x"), parse_poly("z")],
+                   [parse_poly("2y"), parse_poly("3x^2 + 1"), Poly.zero()])
     assert c.reduce(parse_poly("y^2 + z")).poly == parse_poly("x^3 + x")
 
 
 def test_space_curve_rejects_zero_tau():
     with pytest.raises(ZeroTau):
-        make_space_curve([parse_poly("y - x^2"), parse_poly("z - x^3")],
-                         [Poly.zero(), Poly.zero(), Poly.zero()])
+        SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
+                   [Poly.zero(), Poly.zero(), Poly.zero()])
     # nonzero components that vanish on the curve are still zero tau
     with pytest.raises(ZeroTau):
-        make_space_curve([parse_poly("y - x^2"), parse_poly("z - x^3")],
-                         [parse_poly("y - x^2"), Poly.zero(), Poly.zero()])
+        SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
+                   [parse_poly("y - x^2"), Poly.zero(), Poly.zero()])
 
 
 def test_space_curve_rejects_non_preserving():
     with pytest.raises(DoesNotPreserveIdeal):
-        make_space_curve([parse_poly("y - x^2"), parse_poly("z - x^3")],
-                         [Poly.zero(), Poly.one(), Poly.zero()])
+        SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
+                   [Poly.zero(), Poly.one(), Poly.zero()])
 
 
 def test_space_curve_rejects_vanishing_tau_locus():
     # x * (canonical tau) preserves the ideal but vanishes at the origin
     with pytest.raises(UnitCertificateAbsent):
-        make_space_curve([parse_poly("y - x^2"), parse_poly("z - x^3")],
-                         [parse_poly("x"), parse_poly("2x^2"), parse_poly("3x^3")])
+        SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
+                   [parse_poly("x"), parse_poly("2x^2"), parse_poly("3x^3")])
 
 
 def test_space_curve_rejects_empty():
     with pytest.raises(ValidationError):
-        make_space_curve([], [Poly.one(), Poly.zero(), Poly.zero()])
+        SpaceCurve([], [Poly.one(), Poly.zero(), Poly.zero()])
     with pytest.raises(ValidationError):
-        make_space_curve([Poly.zero()], [Poly.one(), Poly.zero(), Poly.zero()])
+        SpaceCurve([Poly.zero()], [Poly.one(), Poly.zero(), Poly.zero()])
 
 
 # -- the line and localized lines ---------------------------------------------------
@@ -188,8 +187,14 @@ def test_localized_line_validation():
         LocalizedLine(parse_poly("3"))
     with pytest.raises(BadVariables):
         LocalizedLine(parse_poly("y"))
+    # the repeated-root warning comes from the curve text, not the constructor
     with pytest.warns(UserWarning):
+        parse_curve("line minus x^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         LocalizedLine(parse_poly("x^2"))
+        localize_decomp(single_bracket_line(AffineLine().one()),
+                        parse_poly("(x - 1)^2*(x + 2)"), 2)
 
 
 def test_localized_elem_normalization():

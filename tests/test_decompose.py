@@ -4,7 +4,7 @@ import pytest
 from test_acceptance import _plane_corpus, _space_corpus
 
 import bracketdec.decompose as dec
-from bracketdec.curve import AffineLine, LocalizedLine, make_plane_curve, make_space_curve
+from bracketdec.curve import AffineLine, LocalizedLine, PlaneCurve, SpaceCurve
 from bracketdec.decompose import (
     localize_decomp,
     rational_decompose,
@@ -20,12 +20,12 @@ from bracketdec.poly import Poly, parse_poly, partial_derivative
 
 
 def plane():
-    return make_plane_curve(parse_poly("y^2 - x^3 - x"))
+    return PlaneCurve(parse_poly("y^2 - x^3 - x"))
 
 
 def twisted_cubic():
-    return make_space_curve([parse_poly("y - x^2"), parse_poly("z - x^3")],
-                            [parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")])
+    return SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
+                      [parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")])
 
 
 # -- line ---------------------------------------------------------------------
@@ -94,9 +94,12 @@ def test_two_bracket_plane_zero_target():
 
 def test_two_bracket_plane_random(rand_poly):
     rng = random.Random(9202)
-    for ftext in ("y^2 - x^3 - x", "y^2 - x^5 - x - 1"):
-        c = make_plane_curve(parse_poly(ftext))
-        for _ in range(20):
+    # the last curve is smooth but reducible: the construction needs only
+    # smoothness and the unit certificate, not irreducibility
+    for ftext, targets in (("y^2 - x^3 - x", 20), ("y^2 - x^5 - x - 1", 20),
+                           ("(y^2 - x)(y^2 - x - 1)", 8)):
+        c = PlaneCurve(parse_poly(ftext))
+        for _ in range(targets):
             target = c.reduce(rand_poly(rng, variables=("x", "y"), max_degree=5))
             d = two_bracket_plane(c, target)
             assert d.length <= 2
@@ -106,7 +109,7 @@ def test_two_bracket_plane_random(rand_poly):
 def test_two_bracket_plane_wrong_curve():
     with pytest.raises(CurveMismatch):
         two_bracket_plane(plane(), AffineLine().one())
-    a, b = plane(), make_plane_curve(parse_poly("y^2 - x^3 + x + 1"))
+    a, b = plane(), PlaneCurve(parse_poly("y^2 - x^3 + x + 1"))
     with pytest.raises(CurveMismatch):
         two_bracket_plane(a, b.one())
 
@@ -155,8 +158,8 @@ def test_three_bracket_space_random(rand_poly):
     rng = random.Random(9204)
     curves = [
         twisted_cubic(),
-        make_space_curve([parse_poly("y^2 - x^3 - x"), parse_poly("z")],
-                         [parse_poly("2y"), parse_poly("3x^2 + 1"), Poly.zero()]),
+        SpaceCurve([parse_poly("y^2 - x^3 - x"), parse_poly("z")],
+                   [parse_poly("2y"), parse_poly("3x^2 + 1"), Poly.zero()]),
     ]
     for c in curves:
         for _ in range(15):
@@ -195,17 +198,27 @@ def test_trace_cofactors_match_basis_certificate(rand_poly):
 
 def test_each_bracket_computed_once(monkeypatch, rand_poly):
     calls = {"bracket": 0, "recombine": 0}
+    recombined = []
 
     def counting(name):
         fn = getattr(dec, name)
 
         def wrapped(*args):
             calls[name] += 1
+            if name == "recombine":
+                recombined.append(args[0])
             return fn(*args)
         return wrapped
 
     monkeypatch.setattr(dec, "bracket", counting("bracket"))
     monkeypatch.setattr(dec, "recombine", counting("recombine"))
+
+    def count(decompose, *args):
+        calls.update(bracket=0, recombine=0)
+        recombined.clear()
+        decompose(*args)
+        return dict(calls)
+
     rng = random.Random(9208)
     cases = ((plane(), ("x", "y"), 2, two_bracket_plane),
              (twisted_cubic(), ("x", "y", "z"), 3, three_bracket_space))
@@ -215,15 +228,23 @@ def test_each_bracket_computed_once(monkeypatch, rand_poly):
                                             nonzero=True))
             if target.is_zero():
                 continue
-            calls.update(bracket=0, recombine=0)
-            decompose(curve, target)
-            assert calls == {"bracket": lifts, "recombine": 0}
+            assert count(decompose, curve, target) == {"bracket": lifts, "recombine": 0}
+    line = AffineLine()
+    assert count(single_bracket_line, line.reduce(parse_poly("x^2 + 3"))) == \
+        {"bracket": 1, "recombine": 0}
     f = parse_poly("x^2 - 1")
     loc = LocalizedLine(f)
     for m in range(4):
-        calls.update(recombine=0)
-        rational_decompose(f, loc.elem(parse_poly("x + 3"), m))
-        assert calls["recombine"] == 1
+        assert count(rational_decompose, f, loc.elem(parse_poly("x + 3"), m)) == \
+            {"bracket": 1, "recombine": 0}
+    # localize_decomp recombines its input once, for the target, and
+    # brackets each localized pair once
+    given = BracketDecomp(line, tuple(
+        (VField(line.reduce(parse_poly(a))), VField(line.reduce(parse_poly(b))))
+        for a, b in (("x", "x^2"), ("1", "x^3 - x"), ("x + 1", "2"))))
+    for k in range(3):
+        assert count(localize_decomp, given, f, k) == {"bracket": 3, "recombine": 1}
+        assert recombined == [given]
 
 
 def test_non_unit_decomposition_basis_fails(monkeypatch):

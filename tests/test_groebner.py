@@ -4,18 +4,15 @@ import random
 import pytest
 import sympy
 
-from bracketdec.curve import parse_curve
-from bracketdec.errors import StepBudgetExceeded
+from bracketdec.curve import SpaceCurve, parse_curve
+from bracketdec.errors import DoesNotPreserveIdeal, StepBudgetExceeded, ValidationError
 from bracketdec.groebner import (
     GroebnerBasis,
     MembershipCertificate,
     buchberger,
     certificate_from_basis,
-    is_smooth_plane,
-    membership_certificate,
     normal_form,
     plane_smoothness_certificate,
-    preserves_ideal,
 )
 from bracketdec.poly import (
     MonomialOrder,
@@ -130,10 +127,13 @@ def test_groebner_basis_rejects_bad_cofactor_row():
 
 
 def test_membership_examples():
-    assert membership_certificate(parse_poly("x"), [parse_poly("y")]) is None
-    cert = membership_certificate(parse_poly("x^2*y + y"), [parse_poly("y")])
+    def membership(target, generators):
+        return certificate_from_basis(target, buchberger(generators))
+
+    assert membership(parse_poly("x"), [parse_poly("y")]) is None
+    cert = membership(parse_poly("x^2*y + y"), [parse_poly("y")])
     assert cert is not None and cert.cofactors[0] == parse_poly("x^2 + 1")
-    zero_cert = membership_certificate(Poly.zero(), [parse_poly("x")])
+    zero_cert = membership(Poly.zero(), [parse_poly("x")])
     assert zero_cert is not None and all(c.is_zero() for c in zero_cert.cofactors)
 
 
@@ -153,15 +153,18 @@ def test_membership_cofactors_against_original_generators():
 
 # -- smoothness -----------------------------------------------------------------
 
-def test_is_smooth_plane_examples():
-    assert is_smooth_plane(parse_poly("y^2 - x^3 - x"))
-    assert not is_smooth_plane(parse_poly("y^2 - x^3"))
-    assert is_smooth_plane(parse_poly("y - x^2"))
-    assert not is_smooth_plane(parse_poly("x*y"))
+def test_plane_smoothness_examples():
+    def smooth(text):
+        return plane_smoothness_certificate(parse_poly(text)) is not None
+
+    assert smooth("y^2 - x^3 - x")
+    assert not smooth("y^2 - x^3")
+    assert smooth("y - x^2")
+    assert not smooth("x*y")
     with pytest.raises(ValueError):
-        is_smooth_plane(parse_poly("5"))
+        smooth("5")
     with pytest.raises(ValueError):
-        is_smooth_plane(parse_poly("z - x"))
+        smooth("z - x")
 
 
 def test_smoothness_certificate_contents():
@@ -173,15 +176,17 @@ def test_smoothness_certificate_contents():
 
 # -- ideal preservation -----------------------------------------------------------
 
-def test_preserves_ideal_examples():
+def test_space_curve_ideal_preservation_examples():
+    # SpaceCurve construction is the ideal-preservation check
     F = parse_poly("y^2 - x^3 - x")
     ham = (partial_derivative(F, "y"), -partial_derivative(F, "x"))
-    assert preserves_ideal(ham, [F])
+    SpaceCurve([F], ham)
     tw = [parse_poly("y - x^2"), parse_poly("z - x^3")]
-    assert preserves_ideal((parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")), tw)
-    assert not preserves_ideal((parse_poly("0"), parse_poly("1"), parse_poly("0")), tw)
-    with pytest.raises(ValueError):
-        preserves_ideal((parse_poly("1"),), tw)
+    SpaceCurve(tw, (parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")))
+    with pytest.raises(DoesNotPreserveIdeal):
+        SpaceCurve(tw, (parse_poly("0"), parse_poly("1"), parse_poly("0")))
+    with pytest.raises(ValidationError):
+        SpaceCurve(tw, (parse_poly("1"),))
 
 
 # -- budget -----------------------------------------------------------------------
