@@ -40,35 +40,20 @@ from .groebner import DEFAULT_MAX_STEPS
 from .liealg import BracketDecomp, VField, recombine
 from .poly import MonomialOrder
 
-_ERROR_CODES = (
-    (NotSmooth, "not_smooth"),
-    (BadVariables, "bad_variables"),
-    (DoesNotPreserveIdeal, "does_not_preserve_ideal"),
-    (UnitCertificateAbsent, "unit_certificate_absent"),
-    (ZeroTau, "zero_tau"),
-    (CurveMismatch, "curve_mismatch"),
-    (CertificateFailure, "certificate_failure"),
-    (ValidationError, "validation_error"),
-    (ParseError, "parse_error"),
-    (StepBudgetExceeded, "step_budget_exceeded"),
+# (error class, JSON code, exit code), subclasses before their bases; any
+# other error is ("invalid_input", 2)
+_ERRORS = (
+    (NotSmooth, "not_smooth", 3),
+    (BadVariables, "bad_variables", 3),
+    (DoesNotPreserveIdeal, "does_not_preserve_ideal", 3),
+    (UnitCertificateAbsent, "unit_certificate_absent", 3),
+    (ZeroTau, "zero_tau", 3),
+    (CurveMismatch, "curve_mismatch", 3),
+    (CertificateFailure, "certificate_failure", 3),
+    (ValidationError, "validation_error", 3),
+    (ParseError, "parse_error", 2),
+    (StepBudgetExceeded, "step_budget_exceeded", 4),
 )
-
-
-def _error_code(exc: BaseException) -> str:
-    for cls, code in _ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
-    return "invalid_input"
-
-
-def _exit_code(exc: BaseException) -> int:
-    if isinstance(exc, ParseError):
-        return 2
-    if isinstance(exc, ValidationError):
-        return 3
-    if isinstance(exc, StepBudgetExceeded):
-        return 4
-    return 2
 
 
 def _cert_doc(cert) -> dict:
@@ -244,9 +229,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = _RUNNERS[args.command](args)
         code = 0 if doc["status"] == "ok" else 1
     except (BracketDecError, ValueError) as exc:
+        name, code = next(((name, code) for cls, name, code in _ERRORS
+                           if isinstance(exc, cls)), ("invalid_input", 2))
         doc = {"status": "error", "command": args.command,
-               "error": {"code": _error_code(exc), "message": str(exc)}}
-        code = _exit_code(exc)
+               "error": {"code": name, "message": str(exc)}}
     print(json.dumps(doc, indent=2))
     print(_summary(doc), file=sys.stderr)
     return code

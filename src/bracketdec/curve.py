@@ -36,7 +36,7 @@ from .errors import (
 )
 from .groebner import (
     DEFAULT_MAX_STEPS,
-    GroebnerBasis,
+    MembershipCertificate,
     buchberger,
     certificate_from_basis,
     normal_form,
@@ -318,9 +318,11 @@ class PlaneCurve(Curve):
     (dF/dy, -dF/dx).  The constructor stores the unit certificate for the
     Jacobian ideal (F, dF/dx, dF/dy); its existence is exactly smoothness,
     and it is also what makes the Hamiltonian field nowhere zero on the
-    curve.  The construction uses only smoothness and that certificate, so
-    a reducible smooth equation works too; irreducibility is what makes the
-    Lie algebra of vector fields simple, not a precondition of the code.
+    curve.  unit_cert is the same identity 1 = a F + b F_x + c F_y over
+    (P, Q, F) = (F_y, -F_x, F), the row (c, -b, a), checked once here.  The
+    construction uses only smoothness and that certificate, so a reducible
+    smooth equation works too; irreducibility is what makes the Lie algebra
+    of vector fields simple, not a precondition of the code.
     """
 
     def __init__(self, equation: Poly, *,
@@ -340,26 +342,18 @@ class PlaneCurve(Curve):
         self.order = order
         self.max_steps = max_steps
         self.gb = buchberger([equation], order, max_steps)
-        self._dec_gb: Optional[GroebnerBasis] = None
+        a, b, c = cert.cofactors
+        self.unit_cert = MembershipCertificate(
+            Poly.one(), self.tau_components + (equation,), (c, -b, a))
 
     def reduce(self, p: Poly) -> RingElem:
         if not p.uses_only(("x", "y")):
             raise BadVariables("plane curve elements use x and y only")
         return RingElem(self, normal_form(p, self.gb, StepBudget(self.max_steps)))
 
-    def decomposition_basis(self) -> GroebnerBasis:
-        """Basis (1) of (P, Q, F) with its cofactor row, cached; P, Q the tau components.
-
-        (P, Q, F) = (F_y, -F_x, F) is the Jacobian ideal up to sign and
-        order, so the smoothness certificate 1 = a F + b F_x + c F_y gives
-        the row (c, -b, a) without a second Buchberger run; building the
-        basis rechecks the identity.
-        """
-        if self._dec_gb is None:
-            a, b, c = self.smooth_cert.cofactors
-            gens = (self.tau_components[0], self.tau_components[1], self.equation)
-            self._dec_gb = GroebnerBasis(gens, (Poly.one(),), ((c, -b, a),), self.order)
-        return self._dec_gb
+    def decomposition_basis(self) -> MembershipCertificate:
+        """The stored unit certificate 1 = c_P P + c_Q Q + c_F F."""
+        return self.unit_cert
 
     def describe(self) -> dict:
         return {"variant": "plane",
@@ -412,8 +406,8 @@ class SpaceCurve(Curve):
                     f"tau maps {g} outside the curve ideal")
         if all(self.reduce(c).is_zero() for c in comps):
             raise ZeroTau("tau vanishes identically on the curve")
-        self._dec_gb = buchberger(list(comps) + list(gens), order, max_steps)
-        cert = certificate_from_basis(Poly.one(), self._dec_gb)
+        cert = certificate_from_basis(Poly.one(),
+                                      buchberger(comps + gens, order, max_steps))
         if cert is None:
             raise UnitCertificateAbsent(
                 "tau components do not generate the unit ideal modulo the curve")
@@ -422,9 +416,9 @@ class SpaceCurve(Curve):
     def reduce(self, p: Poly) -> RingElem:
         return RingElem(self, normal_form(p, self.gb, StepBudget(self.max_steps)))
 
-    def decomposition_basis(self) -> GroebnerBasis:
-        """Basis of (P, Q, R, generators...) with cofactors."""
-        return self._dec_gb
+    def decomposition_basis(self) -> MembershipCertificate:
+        """The stored unit certificate 1 = c_P P + c_Q Q + c_R R + sum c_j g_j."""
+        return self.unit_cert
 
     def describe(self) -> dict:
         return {"variant": "space",

@@ -10,9 +10,11 @@ Every field h * tau is a short sum of brackets:
   line decomposition localizes with its length unchanged because
   [a / f^k tau, b / f^k tau] = (1 / f^(2k)) [a tau, b tau].
 
-Each constructor compares the field its output presents with the target
-exactly once and raises CertificateFailure on any mismatch, so a returned
-decomposition is verified, never assumed.
+The plane and space decomposers scale the curve's stored unit certificate
+by the target and check nothing on the way: each constructor compares the
+field its output presents with the target exactly once and raises
+CertificateFailure on any mismatch, a wrong certificate included, so a
+returned decomposition is verified, never assumed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .curve import (
     SpaceCurve,
 )
 from .errors import CertificateFailure, CurveMismatch
-from .groebner import MembershipCertificate
 from .liealg import BracketDecomp, VField, bracket, recombine
 from .poly import Poly, antiderivative, partial_derivative
 
@@ -93,19 +94,13 @@ def _certificate_decomp(curve, target: RingElem, coords: tuple, method: str,
                         trace: bool) -> BracketDecomp:
     """The plane and space construction over the extra coordinates coords.
 
-    The certificate is the target times the stored unit row of the curve's
-    decomposition basis; it needs no division.
+    The cofactors are the target times the curve's unit certificate; they
+    need no division and no check of their own.
     """
     if target.is_zero():
         return _verified(curve, (), (), target, {"method": method} if trace else None)
-    dec_gb = curve.decomposition_basis()
-    if not dec_gb.contains_one():
-        raise CertificateFailure(
-            "target is not reachable from the trivializing field; "
-            "the stored unit certificate must be wrong")
-    cert = MembershipCertificate(target.poly, dec_gb.generators,
-                                 tuple(target.poly * u for u in dec_gb.cofactors[0]))
-    cofs = cert.cofactors
+    unit = curve.unit_cert
+    cofs = [target.poly * u for u in unit.cofactors]
     r, g, h = solve_rgh(cofs[0], cofs[1], cofs[2] if len(coords) == 2 else Poly.zero())
     # (variable, its bracket partner): (y, g) on plane curves, (y, g), (z, h) in space
     extra = tuple(zip((Poly.variable(v) for v in coords), (g, h)))
@@ -116,8 +111,8 @@ def _certificate_decomp(curve, target: RingElem, coords: tuple, method: str,
     info = None
     if trace:
         info = {"method": method,
-                "membership_generators": [str(p) for p in cert.generators],
-                "membership_cofactors": [str(c) for c in cert.cofactors],
+                "membership_generators": [str(p) for p in unit.generators],
+                "membership_cofactors": [str(c) for c in cofs],
                 "r": str(r),
                 **{name: str(p) for name, (_, p) in zip(("g", "h"), extra)},
                 "f": str(f)}

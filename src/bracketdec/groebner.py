@@ -55,9 +55,6 @@ class GroebnerBasis:
             if _sum_of_products(zip(row, self.generators)) != elem:
                 raise ValueError("cofactor row does not reproduce its basis element")
 
-    def contains_one(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0] == Poly.one()
-
 
 @dataclass(frozen=True)
 class MembershipCertificate:

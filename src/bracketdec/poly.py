@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, StepBudgetExceeded
 
@@ -156,10 +156,6 @@ class Poly:
     def monomial(cls, mono: Mono, coeff: Scalar = 1) -> "Poly":
         return cls([(mono, coeff)])
 
-    @classmethod
-    def parse(cls, text: str) -> "Poly":
-        return parse_poly(text)
-
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -278,9 +274,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -557,19 +550,16 @@ def gcd_univariate(p: Poly, q: Poly, var: str = "x") -> Poly:
 # recursion limit instead of failing with a ParseError.
 MAX_NESTING = 100
 
-# Most coefficient products one polynomial text may cost to parse: every
-# product and power step charges len(a.terms) * len(b.terms).  The step
-# budget bounds only division, so without this a short text such as
-# (x+1)^3000 could run unbounded; (x+1)^600 costs about 136,000.
-MAX_PARSE_PRODUCTS = 200_000
-
-# Most coefficient bits one polynomial text may charge while parsing: every
-# product and power step charges the largest coefficient bit length of its
-# result.  A one-term text such as 3^200000000 costs one term product per
-# squaring, so only this stops its coefficient from doubling in size 28
-# times.  A product with small coefficients charges a few bits, so such
-# texts reach MAX_PARSE_PRODUCTS first.
-MAX_PARSE_COEFF_BITS = 1_000_000
+# Most work one polynomial text may cost to parse.  The step budget bounds
+# only division, so without this a short text such as (x+1)^3000 or
+# 3^200000000 could run unbounded.  Each product and power step is charged
+# before it runs, len(a.terms) * len(b.terms) * (1 + w_a * w_b) with w the
+# width in 64-bit words of the integer numerators the product multiplies:
+# the longest numerator of the operand plus the length of the lcm of its
+# denominators.  So neither many small terms, nor few huge coefficients, nor
+# many distinct denominators escape the bound; (x+1)^600 costs about
+# 2,000,000.
+MAX_PARSE_COST = 3_000_000
 
 
 def _tokenize(text: str):
@@ -601,14 +591,23 @@ def _tokenize(text: str):
     return tokens
 
 
-def _coeff_bits(p: Poly) -> int:
-    """Largest numerator plus denominator bit length of a coefficient of p."""
+def _coeff_words(p: Poly) -> int:
+    """Widest integer numerator a product multiplies for p, in 64-bit words.
+
+    _sum_of_products scales each coefficient of p to an integer numerator
+    over the lcm of all of p's denominators, so the width is at most the
+    longest numerator plus the length of that lcm.
+    """
     bits = 0
+    den = 1
     for _, c in p.terms:
-        b = c.numerator.bit_length() + c.denominator.bit_length()
+        n, d = c.as_integer_ratio()
+        b = n.bit_length()
         if b > bits:
             bits = b
-    return bits
+        if den % d:
+            den = lcm(den, d)
+    return -(-(bits + den.bit_length()) // 64)
 
 
 class _PolyParser:
@@ -616,8 +615,7 @@ class _PolyParser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.products = 0
-        self.bits = 0
+        self.cost = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -635,18 +633,14 @@ class _PolyParser:
         return self.take()
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        self.products += len(a.terms) * len(b.terms)
-        if self.products > MAX_PARSE_PRODUCTS:
+        wa = _coeff_words(a)
+        wb = wa if b is a else _coeff_words(b)
+        self.cost += len(a.terms) * len(b.terms) * (1 + wa * wb)
+        if self.cost > MAX_PARSE_COST:
             raise StepBudgetExceeded(
-                f"parse phase: polynomial text needs more than {MAX_PARSE_PRODUCTS} "
-                "coefficient products to expand")
-        product = a * b
-        self.bits += _coeff_bits(product)
-        if self.bits > MAX_PARSE_COEFF_BITS:
-            raise StepBudgetExceeded(
-                f"parse phase: polynomial text needs more than {MAX_PARSE_COEFF_BITS} "
-                "coefficient bits to expand")
-        return product
+                f"parse phase: polynomial text costs more than {MAX_PARSE_COST} "
+                "coefficient word products to expand")
+        return a * b
 
     def parse(self) -> Poly:
         e = self.expr()

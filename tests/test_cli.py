@@ -1,16 +1,19 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bracketdec.cli import main
+from bracketdec.poly import MAX_PARSE_COST
 
 _BASE = [sys.executable, "-m", "bracketdec.cli"]
 
@@ -67,7 +70,7 @@ def test_step_budget_exits_4():
 
 
 def test_parse_products_bounded_exits_4():
-    # the step budget does not reach parsing; the parser's own product bound
+    # the step budget does not reach parsing; the parser's own cost bound
     # stops (x+1)^3000 long before it expands
     proc = subprocess.run(_BASE + ["decompose", "--curve", "line",
                                    "--target", "(x+1)^3000", "--max-steps", "10"],
@@ -75,18 +78,19 @@ def test_parse_products_bounded_exits_4():
     doc = json.loads(proc.stdout)
     assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
     assert doc["error"]["message"].startswith("parse phase")
+    assert f"more than {MAX_PARSE_COST} coefficient word" in doc["error"]["message"]
     assert "Traceback" not in proc.stderr
 
 
 def test_parse_coefficient_bits_bounded_exits_4():
-    # 3^200000000 is one term, so only the coefficient bit bound stops it
+    # 3^200000000 is one term, so only the coefficient words of the cost stop it
     proc = subprocess.run(_BASE + ["decompose", "--curve", "line",
                                    "--target", "3^200000000", "--max-steps", "10"],
                           capture_output=True, text=True, timeout=20)
     doc = json.loads(proc.stdout)
     assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
     assert doc["error"]["message"].startswith("parse phase")
-    assert "coefficient bits" in doc["error"]["message"]
+    assert f"more than {MAX_PARSE_COST} coefficient word" in doc["error"]["message"]
     assert "Traceback" not in proc.stderr
 
 
@@ -95,6 +99,8 @@ def test_parse_coefficient_bits_bounded_exits_4():
     ("plane y^2 - x^3 - x", "y^9999999", "5000"),
     # the lowest-terms check divides x^9999999 by x + 1, a step per quotient term
     ("line minus x + 1", "x^9999999 / (x + 1)", "100"),
+    # parsing: about 79,000 term pairs of about 48,000-bit coefficients
+    ("line", "(3^30000*(x+1)^280)*(3^30000*(y+1)^280)", "10"),
 ])
 def test_curve_reduction_bounded_exits_4(curve, target, steps):
     proc = subprocess.run(_BASE + ["decompose", "--curve", curve,
@@ -251,6 +257,32 @@ def test_localize_large_k_finishes():
         doc = json.loads(proc.stdout)
         assert proc.returncode == 0 and doc["verification"] is True
         assert doc["target"] == f"(-1) / ({curve[len('line minus '):]})^{2 * int(k)}"
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """Body of the first ```lang block after a heading line of README.md."""
+    text = _README.read_text()
+    start = text.index(f"```{lang}\n", text.index(f"\n{heading}\n")) + len(lang) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples_run():
+    lines = [line for line in _readme_block("## CLI", "sh").splitlines()
+             if line.startswith("bracketdec ")]
+    assert lines
+    for line in lines:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(shlex.split(line)[1:])
+        doc = json.loads(out.getvalue())
+        assert code == 0, line
+        if "verification" in doc:
+            assert doc["verification"] is True, line
+    with redirect_stdout(io.StringIO()):
+        exec(_readme_block("## Library quickstart", "python"), {})
 
 
 # -- property: every input ends in a JSON document and a documented exit code --

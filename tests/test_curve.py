@@ -52,7 +52,11 @@ def test_plane_decomposition_basis_matches_buchberger(equation, order):
     # computes on (P, Q, F), so decompositions stay byte-identical
     c = PlaneCurve(parse_poly(equation), order=order)
     P, Q = c.tau_components
-    assert c.decomposition_basis() == buchberger([P, Q, c.equation], order)
+    gb = buchberger([P, Q, c.equation], order)
+    assert gb.basis == (Poly.one(),)
+    assert c.unit_cert.generators == gb.generators
+    assert c.unit_cert.cofactors == gb.cofactors[0]
+    assert c.decomposition_basis() is c.unit_cert
 
 
 def test_plane_curve_runs_buchberger_once_on_jacobian(monkeypatch):
@@ -74,7 +78,7 @@ def test_plane_curve_runs_buchberger_once_on_jacobian(monkeypatch):
     assert decomp.length <= 2
     Fx, Fy = partial_derivative(F, "x"), partial_derivative(F, "y")
     # the Jacobian ideal for smoothness and (F) for the normal forms; the
-    # decomposition basis of (P, Q, F) reuses the smoothness certificate
+    # unit certificate over (P, Q, F) reuses the smoothness certificate
     assert sorted(calls, key=len) == [(F,), (F, Fx, Fy)]
 
 

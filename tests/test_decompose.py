@@ -14,7 +14,12 @@ from bracketdec.decompose import (
     two_bracket_plane,
 )
 from bracketdec.errors import CertificateFailure, CurveMismatch
-from bracketdec.groebner import buchberger, certificate_from_basis
+from bracketdec.groebner import (
+    GroebnerBasis,
+    MembershipCertificate,
+    buchberger,
+    certificate_from_basis,
+)
 from bracketdec.liealg import BracketDecomp, VField, recombine
 from bracketdec.poly import Poly, parse_poly, partial_derivative
 
@@ -122,9 +127,10 @@ def test_plane_cofactor_syzygy_perturbation(rand_poly):
     c = plane()
     p_comp, q_comp = c.tau_components
     y = Poly.variable("y")
+    gb = buchberger(c.unit_cert.generators, c.order)
     for _ in range(10):
         target = c.reduce(rand_poly(rng, variables=("x", "y"), max_degree=4))
-        cert = certificate_from_basis(target.poly, c.decomposition_basis())
+        cert = certificate_from_basis(target.poly, gb)
         s = rand_poly(rng, variables=("x", "y"), max_degree=2)
         c_p = cert.cofactors[0] + s * q_comp
         c_q = cert.cofactors[1] - s * p_comp
@@ -180,17 +186,18 @@ def test_three_bracket_space_trace():
 
 def test_trace_cofactors_match_basis_certificate(rand_poly):
     # the cofactors are the target times the stored unit row, which is what a
-    # division by the basis (1) gives
+    # division by the basis (1) of the certificate's generators gives
     rng = random.Random(9207)
     corpus = [(c, ("x", "y"), two_bracket_plane) for c in _plane_corpus()]
     corpus += [(c, ("x", "y", "z"), three_bracket_space) for c in _space_corpus()]
     for curve, variables, decompose in corpus:
+        gb = buchberger(curve.unit_cert.generators, curve.order)
         for _ in range(10):
             target = curve.reduce(rand_poly(rng, variables=variables, max_degree=6,
                                             nonzero=True))
             if target.is_zero():
                 continue
-            cert = certificate_from_basis(target.poly, curve.decomposition_basis())
+            cert = certificate_from_basis(target.poly, gb)
             trace = decompose(curve, target, trace=True).trace
             assert trace["membership_cofactors"] == [str(c) for c in cert.cofactors]
             assert trace["membership_generators"] == [str(g) for g in cert.generators]
@@ -213,9 +220,21 @@ def test_each_bracket_computed_once(monkeypatch, rand_poly):
     monkeypatch.setattr(dec, "bracket", counting("bracket"))
     monkeypatch.setattr(dec, "recombine", counting("recombine"))
 
+    built = []
+
+    def recording(check):
+        def wrapped(self):
+            built.append(type(self).__name__)
+            check(self)
+        return wrapped
+
+    for cls in (MembershipCertificate, GroebnerBasis):
+        monkeypatch.setattr(cls, "__post_init__", recording(cls.__post_init__))
+
     def count(decompose, *args):
         calls.update(bracket=0, recombine=0)
         recombined.clear()
+        built.clear()
         decompose(*args)
         return dict(calls)
 
@@ -229,6 +248,8 @@ def test_each_bracket_computed_once(monkeypatch, rand_poly):
             if target.is_zero():
                 continue
             assert count(decompose, curve, target) == {"bracket": lifts, "recombine": 0}
+            # the curve's unit certificate is scaled, neither rebuilt nor rechecked
+            assert built == []
     line = AffineLine()
     assert count(single_bracket_line, line.reduce(parse_poly("x^2 + 3"))) == \
         {"bracket": 1, "recombine": 0}
@@ -248,11 +269,14 @@ def test_each_bracket_computed_once(monkeypatch, rand_poly):
 
 
 def test_non_unit_decomposition_basis_fails(monkeypatch):
-    c = plane()
-    monkeypatch.setattr(c, "decomposition_basis",
-                        lambda: buchberger([Poly.variable("x")]))
-    with pytest.raises(CertificateFailure):
-        two_bracket_plane(c, c.one())
+    # a certificate of 2 in place of 1 presents twice the target, which the
+    # decomposer's one comparison with the target rejects
+    for c, decompose in ((plane(), two_bracket_plane), (twisted_cubic(), three_bracket_space)):
+        unit = c.unit_cert
+        monkeypatch.setattr(c, "unit_cert", MembershipCertificate(
+            Poly.constant(2), unit.generators, tuple(u * 2 for u in unit.cofactors)))
+        with pytest.raises(CertificateFailure):
+            decompose(c, c.one())
 
 
 # -- localization ----------------------------------------------------------------------

@@ -11,8 +11,7 @@ from bracketdec import poly as poly_module
 from bracketdec.errors import ParseError, StepBudgetExceeded
 from bracketdec.poly import (
     MAX_NESTING,
-    MAX_PARSE_COEFF_BITS,
-    MAX_PARSE_PRODUCTS,
+    MAX_PARSE_COST,
     MonomialOrder,
     Poly,
     StepBudget,
@@ -81,10 +80,14 @@ def test_parse_rejects(bad):
 
 
 def test_parse_product_bound():
-    with pytest.raises(StepBudgetExceeded, match="parse phase"):
+    with pytest.raises(StepBudgetExceeded,
+                       match=f"parse phase: .* more than {MAX_PARSE_COST} coefficient word"):
         parse_poly("(x+1)^3000")
-    with pytest.raises(StepBudgetExceeded):
+    with pytest.raises(StepBudgetExceeded, match="parse phase"):
         parse_poly("(x+y+z+1)^40")
+    with pytest.raises(StepBudgetExceeded, match="parse phase"):
+        # 701 terms with coefficients of up to 1,105 bits
+        parse_poly("(x+2)^700")
     expanded = parse_poly("(x+1)^600")
     assert len(expanded.terms) == 601 and expanded.coefficient((300, 0, 0)) == comb(600, 300)
     for text, expected in (("(x - 2y + 1)^7", parse_poly("x - 2y + 1") ** 7),
@@ -93,17 +96,19 @@ def test_parse_product_bound():
 
 
 def test_parse_coefficient_bits_bound():
-    # one term, so the product bound never fires: only coefficient bits stop it
-    with pytest.raises(StepBudgetExceeded, match="parse phase.*coefficient bits"):
-        parse_poly("3^200000000")
-    with pytest.raises(StepBudgetExceeded, match="coefficient bits"):
-        parse_poly("(2/3 x)^1000000")
+    # large coefficients: the coefficient words in the charge stop these.
+    # The last text has small coefficients, but over 300 distinct 62-bit
+    # denominators the product multiplies numerators of about 18,000 bits.
+    mixed = "(" + " + ".join(f"1/{2 ** 61 + i} x^{i}" for i in range(300)) + ")^2"
+    for text in ("3^200000000", "(2/3 x)^1000000", "3^300000",
+                 "(3^30000*(x+1)^280)*(3^30000*(y+1)^280)", mixed):
+        with pytest.raises(StepBudgetExceeded,
+                           match=f"parse phase: .* more than {MAX_PARSE_COST} coefficient word"):
+            parse_poly(text)
     assert parse_poly("3^1000").as_constant() == 3 ** 1000
+    assert parse_poly("3^40000").as_constant() == 3 ** 40000
     assert parse_poly("(2/3)^40 x^200000000") == Poly.monomial((200_000_000, 0, 0),
                                                              Fraction(2, 3) ** 40)
-    # a product whose coefficients stay below 8 charges at most 4 bits, so
-    # such texts reach the product bound first
-    assert 4 * MAX_PARSE_PRODUCTS < MAX_PARSE_COEFF_BITS
 
 
 def test_format_round_trip_random(rand_poly):
