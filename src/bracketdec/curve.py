@@ -22,7 +22,8 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from math import inf
+from typing import Optional, Sequence
 
 from .errors import (
     BadVariables,
@@ -53,8 +54,6 @@ from .poly import (
     parse_poly,
     partial_derivative,
 )
-
-Scalar = Union[int, Fraction]
 
 
 class Curve:
@@ -117,39 +116,19 @@ class RingElem:
         return str(self.poly)
 
 
+@dataclass(frozen=True)
 class LocalizedElem:
     """numerator / denominator^exponent over a localized line.
 
-    Kept in lowest terms with respect to the line's denominator: the stored
-    numerator is not divisible by it unless the exponent is already zero.
-    The trial divisions share one budget of the line's max_steps steps.
+    Built in lowest terms by the line's elem(): the stored numerator is not
+    divisible by the line's denominator unless the exponent is already zero.
+    Negation and nonzero scalar multiples keep lowest terms, so they build
+    the record directly.
     """
 
-    __slots__ = ("curve", "numerator", "exponent")
-
-    def __init__(self, curve: "LocalizedLine", numerator: Poly, exponent: int = 0):
-        exponent = int(exponent)
-        if exponent < 0:
-            raise ValueError("denominator exponent must be nonnegative")
-        if not numerator.uses_only(("x",)):
-            raise BadVariables("localized elements are univariate in x")
-        f = curve.denominator
-        if numerator.is_zero():
-            exponent = 0
-        else:
-            budget = StepBudget(curve.max_steps)
-            while exponent > 0:
-                quotients, rem = divide_multivariate(numerator, [f], budget=budget)
-                if not rem.is_zero():
-                    break
-                numerator = quotients[0]
-                exponent -= 1
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalizedElem is immutable")
+    curve: "LocalizedLine"
+    numerator: Poly
+    exponent: int = 0
 
     def _check(self, other) -> "LocalizedElem":
         if not isinstance(other, LocalizedElem) or other.curve != self.curve:
@@ -168,7 +147,7 @@ class LocalizedElem:
         m = max(self.exponent, other.exponent)
         num = (self.numerator * f ** (m - self.exponent)
                + other.numerator * f ** (m - other.exponent))
-        return LocalizedElem(self.curve, num, m)
+        return self.curve.elem(num, m)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -178,24 +157,17 @@ class LocalizedElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return self.curve.zero()
             return LocalizedElem(self.curve, self.numerator * other, self.exponent)
         other = self._check(other)
-        return LocalizedElem(self.curve, self.numerator * other.numerator,
-                             self.exponent + other.exponent)
+        return self.curve.elem(self.numerator * other.numerator,
+                               self.exponent + other.exponent)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, LocalizedElem)
-                and self.curve == other.curve
-                and self.numerator == other.numerator
-                and self.exponent == other.exponent)
-
-    def __hash__(self):
-        return hash((self.curve, self.numerator, self.exponent))
 
     def __str__(self):
         if self.exponent == 0:
@@ -250,10 +222,36 @@ class LocalizedLine(Curve):
         self.max_steps = max_steps
 
     def elem(self, numerator: Poly, exponent: int = 0) -> LocalizedElem:
-        return LocalizedElem(self, numerator, exponent)
+        """numerator / f^exponent in lowest terms."""
+        exponent = int(exponent)
+        if exponent < 0:
+            raise ValueError("denominator exponent must be nonnegative")
+        if not numerator.uses_only(("x",)):
+            raise BadVariables("localized elements are univariate in x")
+        if numerator.is_zero():
+            return LocalizedElem(self, numerator, 0)
+        numerator, j = self._divide_out(numerator, exponent)
+        return LocalizedElem(self, numerator, exponent - j)
 
     def reduce(self, p: Poly) -> LocalizedElem:
-        return LocalizedElem(self, p, 0)
+        return self.elem(p, 0)
+
+    def _divide_out(self, p: Poly, most) -> tuple:
+        """(p / f^j, j) for the largest j <= most such that f^j divides p.
+
+        A constant p, zero included, comes back with j = 0 and is never
+        divided: the nonconstant f divides no nonzero constant.  The trial
+        divisions share one budget of max_steps steps.
+        """
+        budget = StepBudget(self.max_steps)
+        j = 0
+        while j < most and not p.is_constant():
+            quotients, rem = divide_multivariate(p, [self.denominator], budget=budget)
+            if not rem.is_zero():
+                break
+            p = quotients[0]
+            j += 1
+        return p, j
 
     def parse_element(self, text: str) -> LocalizedElem:
         """Parse `num` or `num / den` where den is c * f^m for the line's f."""
@@ -261,18 +259,11 @@ class LocalizedLine(Curve):
         if split is None:
             return self.reduce(parse_poly(text))
         num = parse_poly(split[0])
-        den = parse_poly(split[1])
-        f = self.denominator
-        m = 0
-        budget = StepBudget(self.max_steps)
-        while not den.is_constant():
-            quotients, rem = divide_multivariate(den, [f], budget=budget)
-            if not rem.is_zero():
-                raise ParseError(
-                    "element denominator must be a constant multiple of a power "
-                    f"of the localization denominator ({f})")
-            den = quotients[0]
-            m += 1
+        den, m = self._divide_out(parse_poly(split[1]), inf)
+        if not den.is_constant():
+            raise ParseError(
+                "element denominator must be a constant multiple of a power "
+                f"of the localization denominator ({self.denominator})")
         c = den.as_constant()
         if c == 0:
             raise ParseError("zero denominator in element text")

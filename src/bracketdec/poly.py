@@ -654,12 +654,18 @@ class _PolyParser:
         while self.peek() in ("+", "-"):
             if self.take()[0] == "-":
                 sign = -sign
-        acc = self.term() * sign
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
+        # the signed terms merge into one dict and the sum is built once, so
+        # its work is linear in the terms its charged operands produced
+        acc: dict = {}
+        while True:
+            for m, c in self.term().terms:
+                if sign < 0:
+                    c = -c
+                v = acc.get(m)
+                acc[m] = c if v is None else v + c
+            if self.peek() not in ("+", "-"):
+                return Poly._from_dict(acc)
+            sign = 1 if self.take()[0] == "+" else -1
 
     def term(self) -> Poly:
         acc = self.factor()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bracketdec import curve as curve_module
 from bracketdec.curve import (
     AffineLine,
     LocalizedLine,
@@ -209,6 +210,32 @@ def test_localized_elem_normalization():
     assert e.numerator == parse_poly("x + 1") and e.exponent == 0
     z = line.elem(Poly.zero(), 5)
     assert z.is_zero() and z.exponent == 0
+    with pytest.raises(AttributeError):
+        e.exponent = 1
+    again = line.elem(parse_poly("x^2 + x"), 1)
+    assert again == e and hash(again) == hash(e)
+
+
+def test_localized_linear_operations_do_not_divide(monkeypatch):
+    # negation and scalar multiples keep lowest terms, so they build the
+    # record without a trial division by f
+    line = LocalizedLine(parse_poly("x^2 - 1"))
+    e = line.elem(parse_poly("x + 3"), 2)
+    calls = []
+    divide = curve_module.divide_multivariate
+    monkeypatch.setattr(curve_module, "divide_multivariate",
+                        lambda *a, **kw: calls.append(1) or divide(*a, **kw))
+    assert (-e).numerator == parse_poly("-x - 3") and (-e).exponent == 2
+    half = e * Fraction(3, 2)
+    assert half.numerator == parse_poly("3/2 x + 9/2") and half.exponent == 2
+    assert (e * 0) == line.zero()
+    assert calls == []
+
+
+def test_localized_constant_numerator_is_not_divided():
+    # a nonconstant f cannot divide a constant, so no step is spent
+    e = LocalizedLine(parse_poly("x"), max_steps=0).elem(Poly.one(), 3)
+    assert e.numerator == Poly.one() and e.exponent == 3
 
 
 def test_localized_arithmetic():

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -109,6 +111,18 @@ def test_parse_coefficient_bits_bound():
     assert parse_poly("3^40000").as_constant() == 3 ** 40000
     assert parse_poly("(2/3)^40 x^200000000") == Poly.monomial((200_000_000, 0, 0),
                                                              Fraction(2, 3) ** 40)
+
+
+def test_parse_long_flat_sum():
+    # a sum's terms merge into one dict: adding each term to the growing
+    # sum is quadratic and takes far longer than the timeout on this text
+    code = ("from bracketdec.poly import parse_poly\n"
+            "p = parse_poly(' + '.join(f'{i + 2} x^{i}' for i in range(10000)))\n"
+            "print(len(p.terms), p.coefficient((9999, 0, 0)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["10000", "10001"]
 
 
 def test_format_round_trip_random(rand_poly):
