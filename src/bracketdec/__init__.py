@@ -9,7 +9,6 @@ at most two on smooth plane curves, at most three on space curves.
 
 from .curve import (
     AffineLine,
-    Curve,
     LocalizedElem,
     LocalizedLine,
     PlaneCurve,
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineLine", "BadVariables", "BracketDecError", "BracketDecomp",
-    "CertificateFailure", "Curve", "CurveMismatch", "DEFAULT_MAX_STEPS",
+    "CertificateFailure", "CurveMismatch", "DEFAULT_MAX_STEPS",
     "DoesNotPreserveIdeal", "GroebnerBasis", "LocalizedElem", "LocalizedLine",
     "MembershipCertificate", "MonomialOrder", "NotSmooth", "ParseError",
     "PlaneCurve", "Poly", "RingElem", "SpaceCurve", "StepBudgetExceeded",

@@ -184,6 +184,7 @@ class AffineLine(Curve):
 
     variables = ("x",)
     tau_components = (Poly.one(),)
+    unit_cert = MembershipCertificate(Poly.one(), (Poly.one(),), (Poly.one(),))
 
     def reduce(self, p: Poly) -> RingElem:
         if not p.uses_only(("x",)):

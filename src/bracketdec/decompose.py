@@ -2,7 +2,7 @@
 
 Every field h * tau is a short sum of brackets:
 
-* on the line, one bracket: h tau = [-H tau, tau] with H' = h;
+* on the line, one bracket: h tau = [tau, H tau] with H' = h;
 * on a smooth plane curve, at most two brackets, from a unit certificate
   1 = c_P P + c_Q Q modulo the curve applied to the target;
 * on a space curve with a trivializing derivation, at most three;
@@ -10,11 +10,11 @@ Every field h * tau is a short sum of brackets:
   line decomposition localizes with its length unchanged because
   [a / f^k tau, b / f^k tau] = (1 / f^(2k)) [a tau, b tau].
 
-The plane and space decomposers scale the curve's stored unit certificate
-by the target and check nothing on the way: each constructor compares the
-field its output presents with the target exactly once and raises
-CertificateFailure on any mismatch, a wrong certificate included, so a
-returned decomposition is verified, never assumed.
+Every decomposer scales the curve's unit certificate by the target (the
+line's is 1 = 1 * 1) and checks nothing on the way: each constructor
+compares the field its output presents with the target exactly once and
+raises CertificateFailure on any mismatch, a wrong certificate included,
+so a returned decomposition is verified, never assumed.
 """
 
 from __future__ import annotations
@@ -50,72 +50,65 @@ def _verified(curve, pairs, brackets, target_coeff, trace) -> BracketDecomp:
 
 def single_bracket_line(target: RingElem,
                         trace: bool = False) -> BracketDecomp:
-    """h tau = [-H tau, tau] on the line, H the antiderivative of h."""
+    """h tau = [tau, H tau] on the line: the certificate path with no extra coordinate."""
     line = target.curve
     if not isinstance(line, AffineLine):
         raise CurveMismatch("single_bracket_line expects an element of the line")
-    if target.is_zero():
-        return _verified(line, (), (), target, {"method": "line"} if trace else None)
-    h_anti = antiderivative(target.poly, "x")
-    pair = (VField(line.reduce(-h_anti)), VField(line.one()))
-    info = {"method": "line", "antiderivative": str(h_anti)} if trace else None
-    return _verified(line, (pair,), (bracket(*pair),), target, info)
+    return _certificate_decomp(line, target, (), "line", trace)
 
 
-def solve_rgh(f_cof: Poly, g_cof: Poly, h_cof: Poly):
-    """Solve P r'_x + Q (r'_y - 2g) + R (r'_z - 2h) = P F + Q G + R H.
+def solve_rgh(cofactors: list, coords: tuple):
+    """Solve c_0 = r'_x and c_v = r'_v - 2 g_v for each extra coordinate v.
 
-    Returns (r, g, h) with r'_x = F, r'_y - 2g = G, r'_z - 2h = H, which is
-    what turns a unit-certificate combination into a three-bracket sum.
+    cofactors[0] goes with x and cofactors[i] with coords[i - 1]; further
+    cofactors are ignored.  Returns (r, g_v for each v in coords), which
+    is what turns a unit-certificate combination into a bracket sum.
     """
-    r = antiderivative(f_cof, "x")
-    g = (partial_derivative(r, "y") - g_cof) * _HALF
-    h = (partial_derivative(r, "z") - h_cof) * _HALF
-    return r, g, h
-
-
-def _pairs_from_lifts(curve, lifts):
-    """Bracket pair fields from (a, b) polynomial lifts, dropping zero brackets.
-
-    Returns the pairs and their brackets, each bracket computed once.
-    """
-    pairs, brackets = [], []
-    for a, b in lifts:
-        u = VField(curve.reduce(a))
-        v = VField(curve.reduce(b))
-        w = bracket(u, v)
-        if not w.is_zero():
-            pairs.append((u, v))
-            brackets.append(w)
-    return pairs, brackets
+    r = antiderivative(cofactors[0], "x")
+    return (r, *((partial_derivative(r, v) - c) * _HALF
+                 for v, c in zip(coords, cofactors[1:])))
 
 
 def _certificate_decomp(curve, target: RingElem, coords: tuple, method: str,
                         trace: bool) -> BracketDecomp:
-    """The plane and space construction over the extra coordinates coords.
+    """The construction on a polynomial-ring curve with extra coordinates coords."""
+    return _construct(curve, target, curve.unit_cert, target.poly, curve.reduce, coords,
+                      {"method": method} if trace else None)
 
-    The cofactors are the target times the curve's unit certificate; they
-    need no division and no check of their own.
+
+def _construct(curve, target, unit, poly: Poly, elem, coords: tuple,
+               info) -> BracketDecomp:
+    """The brackets presenting target, the field poly * tau, from unit scaled by poly.
+
+    The cofactors are poly times the unit certificate; they need no
+    division and no check of their own.  With (r, g_v) from solve_rgh and
+    f = r - sum v g_v, the pairs are the lifts (1, f) and (v, g_v), one per
+    extra coordinate v, mapped to elements by elem, and each bracket is
+    computed once; zero brackets are dropped.  info, unless None, receives
+    the intermediates.
     """
-    if target.is_zero():
-        return _verified(curve, (), (), target, {"method": method} if trace else None)
-    unit = curve.unit_cert
-    cofs = [target.poly * u for u in unit.cofactors]
-    r, g, h = solve_rgh(cofs[0], cofs[1], cofs[2] if len(coords) == 2 else Poly.zero())
+    if poly.is_zero():
+        return _verified(curve, (), (), target, info)
+    cofs = [poly * u for u in unit.cofactors]
+    r, *partners = solve_rgh(cofs, coords)
     # (variable, its bracket partner): (y, g) on plane curves, (y, g), (z, h) in space
-    extra = tuple(zip((Poly.variable(v) for v in coords), (g, h)))
+    extra = tuple(zip((Poly.variable(v) for v in coords), partners))
     f = r
     for var, partner in extra:
         f = f - var * partner
-    pairs, brackets = _pairs_from_lifts(curve, ((Poly.one(), f),) + extra)
-    info = None
-    if trace:
-        info = {"method": method,
-                "membership_generators": [str(p) for p in unit.generators],
-                "membership_cofactors": [str(c) for c in cofs],
-                "r": str(r),
-                **{name: str(p) for name, (_, p) in zip(("g", "h"), extra)},
-                "f": str(f)}
+    if info is not None:
+        info.update({"membership_generators": [str(p) for p in unit.generators],
+                     "membership_cofactors": [str(c) for c in cofs],
+                     "r": str(r),
+                     **{name: str(p) for name, (_, p) in zip(("g", "h"), extra)},
+                     "f": str(f)})
+    pairs, brackets = [], []
+    for a, b in ((Poly.one(), f),) + extra:
+        u, v = VField(elem(a)), VField(elem(b))
+        w = bracket(u, v)
+        if not w.is_zero():
+            pairs.append((u, v))
+            brackets.append(w)
     return _verified(curve, pairs, brackets, target, info)
 
 
@@ -174,23 +167,19 @@ def rational_decompose(denominator: Poly, target: LocalizedElem,
     """One bracket presenting target * tau on the line minus V(f).
 
     The target n / f^m is rescaled to (n f^(2k - m)) / f^(2k) with
-    k = ceil(m / 2); the numerator is decomposed on the line with a single
-    bracket and the result is localized, which preserves the length.
+    k = ceil(m / 2); the line's lifts (1, H) for the scaled numerator are
+    divided by f^k, as localize_decomp divides its pairs, which gives the
+    pair (1/f^k tau, H/f^k tau).
     """
     if not isinstance(target.curve, LocalizedLine):
         raise CurveMismatch("rational_decompose expects a localized element")
     if target.curve.denominator != denominator:
         raise ValueError("denominator does not match the target's curve")
     line = target.curve
-    if target.is_zero():
-        return _verified(line, (), (), target, {"method": "rational"} if trace else None)
     m = target.exponent
     k = (m + 1) // 2
     scaled = target.numerator * denominator ** (2 * k - m)
-    # the line's single bracket [-H tau, tau] for scaled = H', divided by f^k
-    pair = (VField(line.elem(-antiderivative(scaled, "x"), k)),
-            VField(line.elem(Poly.one(), k)))
-    info = None
-    if trace:
-        info = {"method": "rational", "k": k, "scaled_numerator": str(scaled)}
-    return _verified(line, (pair,), (bracket(*pair),), target, info)
+    info = {"method": "rational", "k": k, "scaled_numerator": str(scaled)} if trace else None
+    # the line's lifts for scaled * tau, each divided by f^k
+    return _construct(line, target, AffineLine.unit_cert, scaled,
+                      lambda p: line.elem(p, k), (), info)

@@ -29,3 +29,13 @@ def test_bench_references_resolve():
     assert names, "bench/ no longer refers to bracketdec as bd"
     missing = sorted(n for n in names if not hasattr(bracketdec, n))
     assert not missing, f"bench/ uses names bracketdec lacks: {missing}"
+
+
+def test_public_names_unique_and_resolve():
+    # a stale __all__ entry would break `from bracketdec import *`
+    assert len(bracketdec.__all__) == len(set(bracketdec.__all__))
+    missing = sorted(n for n in bracketdec.__all__ if not hasattr(bracketdec, n))
+    assert not missing, f"__all__ names bracketdec lacks: {missing}"
+    namespace = {}
+    exec("from bracketdec import *", namespace)
+    assert set(bracketdec.__all__) <= set(namespace)

@@ -244,7 +244,7 @@ def test_long_coefficients_print_unchanged():
     code, doc, _ = run_cli("decompose", "--curve", "line", "--target", "3^1000")
     assert code == 0 and doc["verification"] is True
     assert doc["target"] == str(3**1000)
-    assert doc["decomposition"] == [[f"-{3**1000}*x", "1"]]
+    assert doc["decomposition"] == [["1", f"{3**1000}*x"]]
 
 
 def test_localize_large_k_finishes():

@@ -1,10 +1,17 @@
 import random
 
 import pytest
+import sympy
 from test_acceptance import _plane_corpus, _space_corpus
 
 import bracketdec.decompose as dec
-from bracketdec.curve import AffineLine, LocalizedLine, PlaneCurve, SpaceCurve
+from bracketdec.curve import (
+    AffineLine,
+    LocalizedElem,
+    LocalizedLine,
+    PlaneCurve,
+    SpaceCurve,
+)
 from bracketdec.decompose import (
     localize_decomp,
     rational_decompose,
@@ -40,7 +47,7 @@ def test_single_bracket_line_examples():
     d = single_bracket_line(line.one())
     assert d.length == 1
     (u, v), = d.pairs
-    assert u == VField(line.reduce(parse_poly("-x"))) and v == VField(line.one())
+    assert u == VField(line.one()) and v == VField(line.reduce(parse_poly("x")))
     assert recombine(d) == VField(line.one())
 
     assert single_bracket_line(line.zero()).length == 0
@@ -53,7 +60,9 @@ def test_single_bracket_line_examples():
 def test_single_bracket_line_trace():
     line = AffineLine()
     d = single_bracket_line(line.reduce(parse_poly("x")), trace=True)
-    assert d.trace["antiderivative"] == "1/2*x^2"
+    assert d.trace["r"] == d.trace["f"] == "1/2*x^2"
+    assert d.trace["membership_generators"] == ["1"]
+    assert d.trace["membership_cofactors"] == ["x"]
 
 
 def test_single_bracket_line_wrong_curve():
@@ -64,10 +73,12 @@ def test_single_bracket_line_wrong_curve():
 # -- the r, g, h solver ---------------------------------------------------------
 
 def test_solve_rgh_trivial():
-    r, g, h = solve_rgh(Poly.zero(), Poly.zero(), Poly.zero())
+    r, g, h = solve_rgh([Poly.zero()] * 3, ("y", "z"))
     assert r.is_zero() and g.is_zero() and h.is_zero()
-    r, g, h = solve_rgh(Poly.one(), Poly.zero(), Poly.zero())
+    r, g, h = solve_rgh([Poly.one(), Poly.zero(), Poly.zero()], ("y", "z"))
     assert r == parse_poly("x") and g.is_zero() and h.is_zero()
+    # the line: no extra coordinate, so r alone
+    assert solve_rgh([Poly.one()], ()) == (parse_poly("x"),)
 
 
 def test_solve_rgh_identities(rand_poly):
@@ -76,7 +87,7 @@ def test_solve_rgh_identities(rand_poly):
         fc = rand_poly(rng, variables=("x", "y", "z"), max_degree=4)
         gc = rand_poly(rng, variables=("x", "y", "z"), max_degree=4)
         hc = rand_poly(rng, variables=("x", "y", "z"), max_degree=4)
-        r, g, h = solve_rgh(fc, gc, hc)
+        r, g, h = solve_rgh([fc, gc, hc], ("y", "z"))
         assert partial_derivative(r, "x") == fc
         assert partial_derivative(r, "y") - 2 * g == gc
         assert partial_derivative(r, "z") - 2 * h == hc
@@ -134,7 +145,7 @@ def test_plane_cofactor_syzygy_perturbation(rand_poly):
         s = rand_poly(rng, variables=("x", "y"), max_degree=2)
         c_p = cert.cofactors[0] + s * q_comp
         c_q = cert.cofactors[1] - s * p_comp
-        r, g, _ = solve_rgh(c_p, c_q, Poly.zero())
+        r, g = solve_rgh([c_p, c_q], ("y",))
         f = r - y * g
         d = BracketDecomp(c, (
             (VField(c.one()), VField(c.reduce(f))),
@@ -204,7 +215,7 @@ def test_trace_cofactors_match_basis_certificate(rand_poly):
 
 
 def test_each_bracket_computed_once(monkeypatch, rand_poly):
-    calls = {"bracket": 0, "recombine": 0}
+    calls = {"bracket": 0, "recombine": 0, "solve_rgh": 0}
     recombined = []
 
     def counting(name):
@@ -219,6 +230,7 @@ def test_each_bracket_computed_once(monkeypatch, rand_poly):
 
     monkeypatch.setattr(dec, "bracket", counting("bracket"))
     monkeypatch.setattr(dec, "recombine", counting("recombine"))
+    monkeypatch.setattr(dec, "solve_rgh", counting("solve_rgh"))
 
     built = []
 
@@ -232,7 +244,7 @@ def test_each_bracket_computed_once(monkeypatch, rand_poly):
         monkeypatch.setattr(cls, "__post_init__", recording(cls.__post_init__))
 
     def count(decompose, *args):
-        calls.update(bracket=0, recombine=0)
+        calls.update(bracket=0, recombine=0, solve_rgh=0)
         recombined.clear()
         built.clear()
         decompose(*args)
@@ -247,36 +259,56 @@ def test_each_bracket_computed_once(monkeypatch, rand_poly):
                                             nonzero=True))
             if target.is_zero():
                 continue
-            assert count(decompose, curve, target) == {"bracket": lifts, "recombine": 0}
+            assert count(decompose, curve, target) == \
+                {"bracket": lifts, "recombine": 0, "solve_rgh": 1}
             # the curve's unit certificate is scaled, neither rebuilt nor rechecked
             assert built == []
+        assert count(decompose, curve, curve.zero()) == \
+            {"bracket": 0, "recombine": 0, "solve_rgh": 0}
+    # the line and the localized line take the same path with no extra coordinate
     line = AffineLine()
     assert count(single_bracket_line, line.reduce(parse_poly("x^2 + 3"))) == \
-        {"bracket": 1, "recombine": 0}
+        {"bracket": 1, "recombine": 0, "solve_rgh": 1}
+    assert built == []
+    assert count(single_bracket_line, line.zero()) == \
+        {"bracket": 0, "recombine": 0, "solve_rgh": 0}
     f = parse_poly("x^2 - 1")
     loc = LocalizedLine(f)
     for m in range(4):
         assert count(rational_decompose, f, loc.elem(parse_poly("x + 3"), m)) == \
-            {"bracket": 1, "recombine": 0}
+            {"bracket": 1, "recombine": 0, "solve_rgh": 1}
+        assert built == []
+    assert count(rational_decompose, f, loc.zero()) == \
+        {"bracket": 0, "recombine": 0, "solve_rgh": 0}
     # localize_decomp recombines its input once, for the target, and
     # brackets each localized pair once
     given = BracketDecomp(line, tuple(
         (VField(line.reduce(parse_poly(a))), VField(line.reduce(parse_poly(b))))
         for a, b in (("x", "x^2"), ("1", "x^3 - x"), ("x + 1", "2"))))
     for k in range(3):
-        assert count(localize_decomp, given, f, k) == {"bracket": 3, "recombine": 1}
+        assert count(localize_decomp, given, f, k) == \
+            {"bracket": 3, "recombine": 1, "solve_rgh": 0}
         assert recombined == [given]
 
 
 def test_non_unit_decomposition_basis_fails(monkeypatch):
     # a certificate of 2 in place of 1 presents twice the target, which the
     # decomposer's one comparison with the target rejects
+    def doubled(unit):
+        return MembershipCertificate(
+            Poly.constant(2), unit.generators, tuple(u * 2 for u in unit.cofactors))
+
     for c, decompose in ((plane(), two_bracket_plane), (twisted_cubic(), three_bracket_space)):
-        unit = c.unit_cert
-        monkeypatch.setattr(c, "unit_cert", MembershipCertificate(
-            Poly.constant(2), unit.generators, tuple(u * 2 for u in unit.cofactors)))
+        monkeypatch.setattr(c, "unit_cert", doubled(c.unit_cert))
         with pytest.raises(CertificateFailure):
             decompose(c, c.one())
+    # the line and the localized line use the line's class-level certificate
+    monkeypatch.setattr(AffineLine, "unit_cert", doubled(AffineLine.unit_cert))
+    with pytest.raises(CertificateFailure):
+        single_bracket_line(AffineLine().one())
+    loc = LocalizedLine(parse_poly("x"))
+    with pytest.raises(CertificateFailure):
+        rational_decompose(parse_poly("x"), loc.elem(Poly.one(), 3))
 
 
 # -- localization ----------------------------------------------------------------------
@@ -287,8 +319,8 @@ def test_localize_decomp_example():
     out = localize_decomp(d, parse_poly("x"), 1)
     loc = LocalizedLine(parse_poly("x"))
     (u, v), = out.pairs
-    assert u.coeff == loc.elem(-Poly.one(), 0)
-    assert v.coeff == loc.elem(Poly.one(), 1)
+    assert u.coeff == loc.elem(Poly.one(), 1)
+    assert v.coeff == loc.elem(Poly.one(), 0)
     assert recombine(out).coeff == loc.elem(Poly.one(), 2)
 
 
@@ -370,3 +402,48 @@ def test_rational_decompose_mismatched_denominator():
         rational_decompose(parse_poly("x^2 - 1"), loc.elem(Poly.one(), 1))
     with pytest.raises(CurveMismatch):
         rational_decompose(parse_poly("x"), AffineLine().one())
+
+
+# -- an independent oracle for the line and the localized line ------------------------------
+
+_X = sympy.Symbol("x")
+
+
+def _to_sympy(elem):
+    """A line or localized-line element as a sympy rational function of x."""
+    def poly(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * _X**e for (e, _, _), c
+                    in p.terms), sympy.Integer(0))
+    if isinstance(elem, LocalizedElem):
+        return poly(elem.numerator) / poly(elem.curve.denominator) ** elem.exponent
+    return poly(elem.poly)
+
+
+def _sympy_field(decomp):
+    """sum of a b' - b a' over the pairs: the field they present, tau = d/dx."""
+    total = sympy.Integer(0)
+    for u, v in decomp.pairs:
+        a, b = _to_sympy(u.coeff), _to_sympy(v.coeff)
+        total += a * sympy.diff(b, _X) - b * sympy.diff(a, _X)
+    return total
+
+
+def test_line_decomposers_match_sympy(rand_poly):
+    rng = random.Random(9209)
+    line = AffineLine()
+    for _ in range(15):
+        target = line.reduce(rand_poly(rng, variables=("x",), max_degree=6,
+                                       max_denominator=5))
+        d = single_bracket_line(target)
+        assert d.length <= 1
+        assert sympy.cancel(_sympy_field(d) - _to_sympy(target)) == 0
+    # squarefree and repeated-root denominators
+    for ftext in ("x", "x^3 - x", "(x - 1)^2*(x + 2)", "x^2", "(x^2 + 1)^3"):
+        f = parse_poly(ftext)
+        loc = LocalizedLine(f)
+        for _ in range(6):
+            num = rand_poly(rng, variables=("x",), max_degree=4, max_denominator=3)
+            target = loc.elem(num, rng.randint(0, 5))
+            d = rational_decompose(f, target)
+            assert d.length <= 1
+            assert sympy.cancel(_sympy_field(d) - _to_sympy(target)) == 0
