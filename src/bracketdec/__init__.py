@@ -46,7 +46,6 @@ from .groebner import (
     buchberger,
     certificate_from_basis,
     normal_form,
-    plane_smoothness_certificate,
 )
 from .liealg import BracketDecomp, VField, apply_tau, bracket, recombine
 from .poly import (
@@ -72,7 +71,7 @@ __all__ = [
     "antiderivative", "apply_derivation", "apply_tau", "bracket", "buchberger",
     "certificate_from_basis", "divide_multivariate", "gcd_univariate",
     "localize_decomp", "make_plane_curve", "make_space_curve", "normal_form",
-    "parse_curve", "parse_poly", "partial_derivative", "plane_smoothness_certificate",
+    "parse_curve", "parse_poly", "partial_derivative",
     "rational_decompose", "recombine", "single_bracket_line", "solve_rgh",
     "three_bracket_space", "two_bracket_plane",
 ]

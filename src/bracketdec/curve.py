@@ -39,9 +39,8 @@ from .groebner import (
     DEFAULT_MAX_STEPS,
     MembershipCertificate,
     buchberger,
-    certificate_from_basis,
     normal_form,
-    plane_smoothness_certificate,
+    unit_certificate,
 )
 from .poly import (
     MonomialOrder,
@@ -307,14 +306,15 @@ class PlaneCurve(Curve):
     """A smooth plane curve V(F) in the (x, y) plane.
 
     The trivializing field is the Hamiltonian field of F, with components
-    (dF/dy, -dF/dx).  The constructor stores the unit certificate for the
-    Jacobian ideal (F, dF/dx, dF/dy); its existence is exactly smoothness,
-    and it is also what makes the Hamiltonian field nowhere zero on the
-    curve.  unit_cert is the same identity 1 = a F + b F_x + c F_y over
-    (P, Q, F) = (F_y, -F_x, F), the row (c, -b, a), checked once here.  The
-    construction uses only smoothness and that certificate, so a reducible
-    smooth equation works too; irreducibility is what makes the Lie algebra
-    of vector fields simple, not a precondition of the code.
+    (dF/dy, -dF/dx).  smooth_cert is the unit certificate for the Jacobian
+    ideal (F, dF/dx, dF/dy), the row of its reduced basis (1,); its
+    existence is exactly smoothness, and it is also what makes the
+    Hamiltonian field nowhere zero on the curve.  unit_cert is the same
+    identity 1 = a F + b F_x + c F_y over (P, Q, F) = (F_y, -F_x, F), the
+    row (c, -b, a), checked once here.  The construction uses only
+    smoothness and that certificate, so a reducible smooth equation works
+    too; irreducibility is what makes the Lie algebra of vector fields
+    simple, not a precondition of the code.
     """
 
     def __init__(self, equation: Poly, *,
@@ -324,13 +324,13 @@ class PlaneCurve(Curve):
             raise BadVariables("plane curve equation must use x and y only")
         if equation.is_constant():
             raise ValidationError("plane curve equation must be nonconstant")
-        cert = plane_smoothness_certificate(equation, order, max_steps)
+        F_x, F_y = partial_derivative(equation, "x"), partial_derivative(equation, "y")
+        cert = unit_certificate((equation, F_x, F_y), order, max_steps)
         if cert is None:
             raise NotSmooth(f"the Jacobian ideal of {equation} is not the unit ideal")
         self.equation = equation
         self.smooth_cert = cert
-        self.tau_components = (partial_derivative(equation, "y"),
-                               -partial_derivative(equation, "x"))
+        self.tau_components = (F_y, -F_x)
         self.order = order
         self.max_steps = max_steps
         self.gb = buchberger([equation], order, max_steps)
@@ -398,8 +398,7 @@ class SpaceCurve(Curve):
                     f"tau maps {g} outside the curve ideal")
         if all(self.reduce(c).is_zero() for c in comps):
             raise ZeroTau("tau vanishes identically on the curve")
-        cert = certificate_from_basis(Poly.one(),
-                                      buchberger(comps + gens, order, max_steps))
+        cert = unit_certificate(comps + gens, order, max_steps)
         if cert is None:
             raise UnitCertificateAbsent(
                 "tau components do not generate the unit ideal modulo the curve")

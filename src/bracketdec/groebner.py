@@ -2,9 +2,11 @@
 
 Every Groebner basis element carries an explicit representation in terms of
 the input generators, threaded through each S-polynomial and reduction step.
-Ideal membership therefore comes back as a checkable identity
-``target == sum(cofactors[j] * generators[j])`` instead of a bare yes/no,
-and the identity is verified exactly whenever a certificate is built.
+Each row of a basis is a MembershipCertificate: a checkable identity
+``target == sum(cofactors[j] * generators[j])``, verified exactly once,
+when Buchberger's final step builds it.  Ideal membership comes back the
+same way instead of as a bare yes/no, and the reduced basis of the unit
+ideal is exactly (1,), so its one row is the unit certificate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_div,
-    partial_derivative,
     _sum_of_products,
 )
 
@@ -32,28 +33,26 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis with a representation matrix.
+    """A reduced Groebner basis whose rows are membership certificates.
 
-    ``basis[i] == sum(cofactors[i][j] * generators[j])`` holds exactly for
-    every i; the identity is rechecked on construction.  The basis is
-    reduced (monic elements, no term of one divisible by another's leading
+    ``rows[i]`` certifies the i-th basis element over the generators; each
+    row checked its identity when it was built.  The basis is reduced
+    (monic elements, no term of one divisible by another's leading
     monomial) and sorted descending by leading monomial, so equal ideals
     computed from the same generators compare equal.
     """
 
     generators: tuple
-    basis: tuple
-    cofactors: tuple
+    rows: tuple
     order: MonomialOrder
 
     def __post_init__(self):
-        if len(self.basis) != len(self.cofactors):
-            raise ValueError("one cofactor row per basis element")
-        for elem, row in zip(self.basis, self.cofactors):
-            if len(row) != len(self.generators):
-                raise ValueError("one cofactor per generator")
-            if _sum_of_products(zip(row, self.generators)) != elem:
-                raise ValueError("cofactor row does not reproduce its basis element")
+        if any(row.generators != self.generators for row in self.rows):
+            raise ValueError("every row must be over the basis's generators")
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(row.target for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def buchberger(generators: Sequence[Poly],
         if not g.is_zero():
             join(g, tuple(Poly.one() if t == j else Poly.zero() for t in range(ngen)))
     if not polys:
-        return GroebnerBasis(gens, (), (), order)
+        return GroebnerBasis(gens, (), order)
 
     while pairs:
         _, i, j, lcm = heappop(pairs)
@@ -187,18 +186,15 @@ def buchberger(generators: Sequence[Poly],
             quotients, rem = [], polys[i]
         inv = 1 / rem.leading_term(order)[1]
         row = _reduced_row(inv, ((Poly.one(), rows[i]),), quotients, [rows[k] for k in others])
-        final.append((rem * inv, row))
+        final.append(MembershipCertificate(rem * inv, gens, row))
 
-    final.sort(key=lambda pr: order.key(pr[0].leading_monomial(order)), reverse=True)
-    return GroebnerBasis(gens,
-                         tuple(p for p, _ in final),
-                         tuple(r for _, r in final),
-                         order)
+    final.sort(key=lambda c: order.key(c.target.leading_monomial(order)), reverse=True)
+    return GroebnerBasis(gens, tuple(final), order)
 
 
 def normal_form(p: Poly, gb: GroebnerBasis, budget: StepBudget | None = None) -> Poly:
     """Remainder of p modulo the basis; the canonical coset representative."""
-    if not gb.basis:
+    if not gb.rows:
         return p
     _, rem = divide_multivariate(p, list(gb.basis), gb.order, budget)
     return rem
@@ -211,36 +207,28 @@ def certificate_from_basis(target: Poly, gb: GroebnerBasis,
 
     Returns None when target is not in the ideal.  Cofactors are expressed
     against the original generators by composing the division quotients with
-    the basis's representation matrix.
+    the basis rows' cofactors.
     """
     if target.is_zero():
         zeros = tuple(Poly.zero() for _ in gb.generators)
         return MembershipCertificate(target, gb.generators, zeros)
-    if not gb.basis:
+    if not gb.rows:
         return None
     quotients, rem = divide_multivariate(target, list(gb.basis), gb.order, budget)
     if not rem.is_zero():
         return None
-    cofs = tuple(_sum_of_products((q, row[t]) for q, row in zip(quotients, gb.cofactors))
+    cofs = tuple(_sum_of_products((q, row.cofactors[t]) for q, row in zip(quotients, gb.rows))
                  for t in range(len(gb.generators)))
     return MembershipCertificate(target, gb.generators, cofs)
 
 
-def plane_smoothness_certificate(equation: Poly,
-                                 order: MonomialOrder = MonomialOrder.LEX,
-                                 max_steps: int = DEFAULT_MAX_STEPS
-                                 ) -> Optional[MembershipCertificate]:
-    """Unit certificate for the Jacobian ideal (F, dF/dx, dF/dy).
+def unit_certificate(generators: Sequence[Poly], order: MonomialOrder,
+                     max_steps: int) -> Optional[MembershipCertificate]:
+    """The certificate 1 = sum(c_j * g_j) over the generators, or None.
 
-    The curve V(F) is smooth exactly when 1 lies in this ideal; the
-    certificate is the witnessing cofactor triple, or None when the curve
-    has a singular point.
+    None means the generators' ideal is proper.  The reduced basis of the
+    unit ideal is exactly (1,), so its one row already is the certificate,
+    checked when buchberger built it: no division and no second check.
     """
-    if equation.is_constant():
-        raise ValueError("curve equation must be nonconstant")
-    if not equation.uses_only(("x", "y")):
-        raise ValueError("plane curve equation must use x and y only")
-    gens = [equation,
-            partial_derivative(equation, "x"),
-            partial_derivative(equation, "y")]
-    return certificate_from_basis(Poly.one(), buchberger(gens, order, max_steps))
+    gb = buchberger(generators, order, max_steps)
+    return gb.rows[0] if gb.basis == (Poly.one(),) else None

@@ -253,6 +253,8 @@ class Poly:
             return Poly._raw(tuple([(m, c * q) for m, c in self.terms]))
         if not isinstance(other, Poly):
             return NotImplemented
+        if other is _ONE:
+            return self
         return _sum_of_products(((self, other),))
 
     __rmul__ = __mul__

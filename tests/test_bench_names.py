@@ -1,7 +1,8 @@
 """The package names that the benchmark harness in bench/ relies on still exist.
 
-bench/tests is not part of the default test run, so a renamed or deleted
-function would otherwise only show up when a traced benchmark run fails.
+The harness's own tests in bench/tests run only some of the layers the
+tracer wraps, so a renamed or deleted function would otherwise only show
+up when a traced benchmark run fails.
 """
 
 import importlib

@@ -56,7 +56,7 @@ def test_plane_decomposition_basis_matches_buchberger(equation, order):
     gb = buchberger([P, Q, c.equation], order)
     assert gb.basis == (Poly.one(),)
     assert c.unit_cert.generators == gb.generators
-    assert c.unit_cert.cofactors == gb.cofactors[0]
+    assert c.unit_cert.cofactors == gb.rows[0].cofactors
     assert c.decomposition_basis() is c.unit_cert
 
 
@@ -81,6 +81,55 @@ def test_plane_curve_runs_buchberger_once_on_jacobian(monkeypatch):
     # the Jacobian ideal for smoothness and (F) for the normal forms; the
     # unit certificate over (P, Q, F) reuses the smoothness certificate
     assert sorted(calls, key=len) == [(F,), (F, Fx, Fy)]
+
+
+def test_curve_unit_certificates_are_basis_rows(monkeypatch):
+    # each identity is checked once, when it is built: a plane curve checks
+    # the Jacobian basis row, the row of (F) and unit_cert, and takes its
+    # smoothness certificate straight from the Jacobian basis
+    import bracketdec.groebner as groebner
+
+    bases, checks, compositions = [], [], []
+    real_buchberger = groebner.buchberger
+    real_check = groebner.MembershipCertificate.__post_init__
+    real_compose = groebner.certificate_from_basis
+
+    def recording(*args, **kwargs):
+        bases.append(real_buchberger(*args, **kwargs))
+        return bases[-1]
+
+    def counting_check(self):
+        checks.append(self)
+        real_check(self)
+
+    def counting_compose(*args, **kwargs):
+        compositions.append(args)
+        return real_compose(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(curve_module, "buchberger", recording)
+    monkeypatch.setattr(groebner.MembershipCertificate, "__post_init__", counting_check)
+    monkeypatch.setattr(groebner, "certificate_from_basis", counting_compose)
+
+    def basis_of(generators):
+        return next(gb for gb in bases if gb.generators == tuple(generators))
+
+    def checked_once(certs):
+        return len(checks) == len(certs) and all(
+            sum(c is d for d in checks) == 1 for c in certs)
+
+    F = parse_poly("y^2 - x^3 - x")
+    c = PlaneCurve(F)
+    jacobian = basis_of((F, partial_derivative(F, "x"), partial_derivative(F, "y")))
+    assert c.smooth_cert is jacobian.rows[0]
+    assert checked_once((c.smooth_cert, c.gb.rows[0], c.unit_cert))
+
+    bases.clear()
+    checks.clear()
+    s = twisted_cubic()
+    assert s.unit_cert is basis_of(s.tau_components + s.generators).rows[0]
+    assert checked_once(s.gb.rows + (s.unit_cert,))
+    assert compositions == []
 
 
 def test_plane_curve_rejects():

@@ -4,15 +4,21 @@ import random
 import pytest
 import sympy
 
-from bracketdec.curve import SpaceCurve, parse_curve
-from bracketdec.errors import DoesNotPreserveIdeal, StepBudgetExceeded, ValidationError
+from bracketdec.curve import PlaneCurve, SpaceCurve, parse_curve
+from bracketdec.errors import (
+    DoesNotPreserveIdeal,
+    NotSmooth,
+    StepBudgetExceeded,
+    ValidationError,
+)
 from bracketdec.groebner import (
+    DEFAULT_MAX_STEPS,
     GroebnerBasis,
     MembershipCertificate,
     buchberger,
     certificate_from_basis,
     normal_form,
-    plane_smoothness_certificate,
+    unit_certificate,
 )
 from bracketdec.poly import (
     MonomialOrder,
@@ -92,8 +98,8 @@ def test_zero_generators_dropped():
     gb = buchberger([Poly.zero(), parse_poly("x")])
     assert [str(b) for b in gb.basis] == ["x"]
     # cofactor row still aligned with both generators
-    assert len(gb.cofactors[0]) == 2
-    assert gb.cofactors[0][0].is_zero()
+    assert len(gb.rows[0].cofactors) == 2
+    assert gb.rows[0].cofactors[0].is_zero()
 
 
 def test_deterministic():
@@ -121,9 +127,13 @@ def test_certificate_rejects_bad_cofactors():
 
 
 def test_groebner_basis_rejects_bad_cofactor_row():
+    x = parse_poly("x")
     with pytest.raises(ValueError):
-        GroebnerBasis((parse_poly("x"),), (parse_poly("x"),),
-                      ((parse_poly("2"),),), LEX)
+        GroebnerBasis((x,), (MembershipCertificate(x, (x,), (parse_poly("2"),)),), LEX)
+    # a row certified over other generators is not a row of this basis
+    row = MembershipCertificate(x, (x, parse_poly("y")), (Poly.one(), Poly.zero()))
+    with pytest.raises(ValueError):
+        GroebnerBasis((x,), (row,), LEX)
 
 
 def test_membership_examples():
@@ -153,25 +163,32 @@ def test_membership_cofactors_against_original_generators():
 
 # -- smoothness -----------------------------------------------------------------
 
+def _jacobian(F):
+    return (F, partial_derivative(F, "x"), partial_derivative(F, "y"))
+
+
 def test_plane_smoothness_examples():
     def smooth(text):
-        return plane_smoothness_certificate(parse_poly(text)) is not None
+        try:
+            PlaneCurve(parse_poly(text))
+        except NotSmooth:
+            return False
+        return True
 
     assert smooth("y^2 - x^3 - x")
     assert not smooth("y^2 - x^3")
     assert smooth("y - x^2")
     assert not smooth("x*y")
-    with pytest.raises(ValueError):
-        smooth("5")
-    with pytest.raises(ValueError):
-        smooth("z - x")
 
 
 def test_smoothness_certificate_contents():
-    cert = plane_smoothness_certificate(parse_poly("y^2 - x^3 - x"))
+    F = parse_poly("y^2 - x^3 - x")
+    cert = unit_certificate(_jacobian(F), LEX, DEFAULT_MAX_STEPS)
     assert cert is not None
     assert cert.target == Poly.one()
-    assert len(cert.generators) == 3
+    assert cert.generators == _jacobian(F)
+    assert cert == PlaneCurve(F).smooth_cert
+    assert unit_certificate(_jacobian(parse_poly("y^2 - x^3")), LEX, DEFAULT_MAX_STEPS) is None
 
 
 # -- ideal preservation -----------------------------------------------------------
@@ -306,7 +323,7 @@ def _reference_buchberger(generators, order, criteria=False):
         inv = 1 / rem.leading_term(order)[1]
         final.append((rem * inv, tuple(r * inv for r in row)))
     final.sort(key=lambda pr: order.key(pr[0].leading_monomial(order)), reverse=True)
-    gb = GroebnerBasis(gens, tuple(p for p, _ in final), tuple(r for _, r in final), order)
+    gb = GroebnerBasis(gens, tuple(MembershipCertificate(p, gens, r) for p, r in final), order)
     return gb, 10**6 - budget.remaining
 
 
@@ -383,6 +400,29 @@ def test_jacobian_bases_match_sympy(order):
         gb = buchberger(gens, order)
         assert {to_sympy(b) for b in gb.basis} == sympy_basis(gens, order), text
         assert (gb.basis == (Poly.one(),)) == smooth, text
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX])
+def test_unit_certificate_matches_sympy(order, rand_poly):
+    # the unit certificate is the basis row of 1: None exactly when sympy's
+    # reduced basis is not [1], and otherwise an identity sympy expands to 1
+    rng = random.Random(8107)
+    name = "lex" if order is LEX else "grlex"
+    units = 0
+    for _ in range(40):
+        gens = [rand_poly(rng, variables=("x", "y", "z"), max_degree=2, coeff_lo=-3,
+                          coeff_hi=3, max_terms=3, nonzero=True)
+                for _ in range(rng.randint(2, 3))]
+        cert = unit_certificate(gens, order, DEFAULT_MAX_STEPS)
+        unit = sympy.groebner([to_sympy(g) for g in gens], Z, Y, X, order=name).exprs == [1]
+        assert (cert is not None) == unit, gens
+        if cert is not None:
+            assert cert.generators == tuple(gens)
+            total = sum(to_sympy(c) * to_sympy(g) for c, g in zip(cert.cofactors, gens))
+            assert sympy.expand(total) == 1, gens
+            units += 1
+    # both outcomes must be exercised
+    assert 0 < units < 40
 
 
 # SHA-256 of the comma-joined certificate cofactors, as the first version

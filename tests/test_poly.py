@@ -187,6 +187,9 @@ def test_mul_matches_schoolbook(max_denominator, rand_poly):
         p, q = (rand_poly(rng, variables=("x", "y", "z"), max_degree=4, max_terms=8,
                           max_denominator=max_denominator) for _ in range(2))
         assert (p * q).terms == _schoolbook_mul(p, q).terms
+        # the unit operand skips the kernel and gives the schoolbook product
+        assert p * Poly.one() is p
+        assert p.terms == _schoolbook_mul(p, Poly.one()).terms
 
 
 @pytest.mark.parametrize("max_denominator", [1, 12, 10**12])
