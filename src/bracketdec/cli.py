@@ -62,10 +62,6 @@ def _cert_doc(cert) -> dict:
             "cofactors": [str(c) for c in cert.cofactors]}
 
 
-def _pairs_doc(decomp: BracketDecomp) -> list:
-    return [[str(u), str(v)] for u, v in decomp.pairs]
-
-
 def _parse_pairs(curve, text: str):
     """Parse "a1, b1; a2, b2; ..." into bracket pairs on the curve."""
     pairs = []
@@ -80,93 +76,74 @@ def _parse_pairs(curve, text: str):
     return tuple(pairs)
 
 
-def _run_check(args) -> dict:
-    curve = parse_curve(args.curve, order=args.order, max_steps=args.max_steps)
+def _run_check(args, curve) -> dict:
     certs = {}
     if isinstance(curve, PlaneCurve):
         certs["smoothness"] = _cert_doc(curve.smooth_cert)
     elif isinstance(curve, SpaceCurve):
         certs["unit"] = _cert_doc(curve.unit_cert)
         certs["preserves_ideal"] = True
-    return {"status": "ok", "command": "check",
-            "curve": curve.describe(), "certificates": certs}
+    return {"certificates": certs}
 
 
-def _decompose_on(curve, target, trace: bool) -> BracketDecomp:
-    if isinstance(curve, AffineLine):
-        return single_bracket_line(target, trace)
-    if isinstance(curve, LocalizedLine):
-        return rational_decompose(curve.denominator, target, trace)
-    if isinstance(curve, PlaneCurve):
-        return two_bracket_plane(curve, target, trace)
-    return three_bracket_space(curve, target, trace)
-
-
-def _run_decompose(args) -> dict:
-    curve = parse_curve(args.curve, order=args.order, max_steps=args.max_steps)
-    target = curve.parse_element(args.target)
+def _decomp_fields(target, decomp: BracketDecomp, verified: bool = True) -> dict:
     # every decomposer checks its result against the target exactly and
     # raises CertificateFailure on a mismatch, so a returned one is verified
-    decomp = _decompose_on(curve, target, args.trace)
-    doc = {"status": "ok", "command": "decompose",
-           "curve": curve.describe(), "target": str(target),
-           "decomposition": _pairs_doc(decomp), "length": decomp.length,
-           "verification": True}
-    if args.trace:
-        doc["trace"] = decomp.trace
-    return doc
+    fields = {"target": str(target),
+              "decomposition": [[str(u), str(v)] for u, v in decomp.pairs],
+              "length": decomp.length, "verification": verified}
+    if decomp.trace is not None:
+        fields["trace"] = decomp.trace
+    return fields
 
 
-def _run_localize(args) -> dict:
-    curve = parse_curve(args.curve, order=args.order, max_steps=args.max_steps)
+def _run_decompose(args, curve) -> dict:
+    target = curve.parse_element(args.target)
+    if isinstance(curve, AffineLine):
+        decomp = single_bracket_line(target, args.trace)
+    elif isinstance(curve, LocalizedLine):
+        decomp = rational_decompose(curve.denominator, target, args.trace)
+    elif isinstance(curve, PlaneCurve):
+        decomp = two_bracket_plane(curve, target, args.trace)
+    else:
+        decomp = three_bracket_space(curve, target, args.trace)
+    return _decomp_fields(target, decomp)
+
+
+def _run_localize(args, curve) -> dict:
     if not isinstance(curve, LocalizedLine):
         raise ValidationError("localize needs a curve of the form: line minus <f>")
     line = AffineLine()
-    pairs = _parse_pairs(line, args.pairs)
-    decomp = BracketDecomp(line, pairs)
-    original = recombine(decomp)
-    # localize_decomp checks its output against this same target
+    decomp = BracketDecomp(line, _parse_pairs(line, args.pairs))
+    # the target is reduced under --max-steps before localize_decomp reduces
+    # it again on its default budget; a negative k is left to its check
+    target = curve.elem(recombine(decomp).coeff.poly, 2 * max(args.k, 0))
     out = localize_decomp(decomp, curve.denominator, args.k, args.trace)
-    target = curve.elem(original.coeff.poly, 2 * args.k)
-    doc = {"status": "ok", "command": "localize",
-           "curve": curve.describe(), "k": args.k,
-           "target": str(target),
-           "decomposition": _pairs_doc(out), "length": out.length,
-           "verification": True}
-    if args.trace:
-        doc["trace"] = out.trace
-    return doc
+    return {"k": args.k, **_decomp_fields(target, out)}
 
 
-def _run_verify(args) -> dict:
-    curve = parse_curve(args.curve, order=args.order, max_steps=args.max_steps)
+def _run_verify(args, curve) -> dict:
     target = curve.parse_element(args.target)
-    pairs = _parse_pairs(curve, args.pairs)
-    decomp = BracketDecomp(curve, pairs)
+    decomp = BracketDecomp(curve, _parse_pairs(curve, args.pairs))
     verified = recombine(decomp).coeff == target
-    doc = {"status": "ok", "command": "verify",
-           "curve": curve.describe(), "target": str(target),
-           "decomposition": _pairs_doc(decomp), "length": decomp.length,
-           "verification": verified}
+    fields = _decomp_fields(target, decomp, verified)
     if not verified:
-        doc["status"] = "error"
-        doc["error"] = {"code": "verification_failed",
-                        "message": "pairs do not recombine to the target"}
-    return doc
+        # "status" keeps its place at the head of the document
+        fields["status"] = "error"
+        fields["error"] = {"code": "verification_failed",
+                           "message": "pairs do not recombine to the target"}
+    return fields
 
 
 def _summary(doc: dict) -> str:
-    if doc["status"] == "ok":
-        cmd = doc["command"]
-        if cmd == "check":
-            return f"ok: curve accepted ({doc['curve']['variant']})"
-        if cmd in ("decompose", "localize"):
-            verified = "verified" if doc.get("verification") else "NOT verified"
-            return (f"ok: {cmd} produced {doc['length']} bracket(s), {verified}, "
-                    f"target {doc.get('target', '?')}")
+    if doc["status"] == "error":
+        return f"error [{doc['error']['code']}]: {doc['error']['message']}"
+    cmd = doc["command"]
+    if cmd == "check":
+        return f"ok: curve accepted ({doc['curve']['variant']})"
+    if cmd == "verify":
         return f"ok: verified decomposition of length {doc['length']}"
-    err = doc.get("error", {})
-    return f"error [{err.get('code', 'unknown')}]: {err.get('message', '')}"
+    return f"ok: {cmd} produced {doc['length']} bracket(s), verified, target {doc['target']}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,8 +202,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if isinstance(value, list):
                 # argparse reads the option value "--" as an empty list
                 raise ParseError(f"--{name.replace('_', '-')} needs a value other than '--'")
-        args.order = MonomialOrder(args.order)
-        doc = _RUNNERS[args.command](args)
+        curve = parse_curve(args.curve, order=MonomialOrder(args.order),
+                             max_steps=args.max_steps)
+        doc = {"status": "ok", "command": args.command, "curve": curve.describe(),
+               **_RUNNERS[args.command](args, curve)}
         code = 0 if doc["status"] == "ok" else 1
     except (BracketDecError, ValueError) as exc:
         name, code = next(((name, code) for cls, name, code in _ERRORS

@@ -23,11 +23,12 @@ ideal, for example, rewrites y and z as powers of x).
 
 from __future__ import annotations
 
+import re
 import sys
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import inf, lcm
+from math import inf, lcm, log2
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, StepBudgetExceeded
@@ -335,7 +336,7 @@ def _sum_of_products(pairs: Iterable) -> Poly:
     return Poly._raw(tuple(terms))
 
 
-def _power(base: Poly, e: int, mul) -> Poly:
+def _power(base, e: int, mul):
     """base^e by repeated squaring, every product taken by mul(a, b)."""
     result = None
     while e:
@@ -538,8 +539,10 @@ def gcd_univariate(p: Poly, q: Poly, var: str = "x") -> Poly:
             raise ValueError(f"gcd_univariate needs polynomials in {var} only")
     a, b = p, q
     while not b.is_zero():
-        _, r = divide_multivariate(a, [b])
-        a, b = b, r
+        # Euclid over Q on monic remainders; unscaled, the coefficient sizes
+        # grow exponentially along the remainder sequence
+        b = b * (1 / b.leading_term()[1])
+        a, b = b, divide_multivariate(a, [b])[1]
     if a.is_zero():
         return a
     return a * (1 / a.leading_term()[1])
@@ -564,32 +567,18 @@ MAX_NESTING = 100
 MAX_PARSE_COST = 3_000_000
 
 
+# whitespace, then one token; any other character lands in the last group.
+# \d matches the decimal digits int() reads, not '²', which str.isdigit() admits
+_TOKEN = re.compile(r"\s*(?:(\d+)|([xyz])|([-+*/^()])|(\S))")
+
+
 def _tokenize(text: str):
     text = text.replace("−", "-").replace("·", "*")
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-            continue
-        if ch in "xyz":
-            tokens.append(("var", ch))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} in polynomial text")
+    for num, var, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r} in polynomial text")
+        tokens.append(("int", num) if num else ("var", var) if var else (op, op))
     return tokens
 
 
@@ -634,15 +623,45 @@ class _PolyParser:
             raise ParseError(f"expected {kind!r} at token {self.pos}")
         return self.take()
 
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        wa = _coeff_words(a)
-        wb = wa if b is a else _coeff_words(b)
-        self.cost += len(a.terms) * len(b.terms) * (1 + wa * wb)
+    def charge(self, cost: int) -> None:
+        self.cost += cost
         if self.cost > MAX_PARSE_COST:
             raise StepBudgetExceeded(
                 f"parse phase: polynomial text costs more than {MAX_PARSE_COST} "
                 "coefficient word products to expand")
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        wa = _coeff_words(a)
+        wb = wa if b is a else _coeff_words(b)
+        self.charge(len(a.terms) * len(b.terms) * (1 + wa * wb))
         return a * b
+
+    def power(self, base: Poly, e: int) -> Poly:
+        """base^e, charged as repeated squaring through mul is charged.
+
+        A one-term base c*m is raised as one exponent product and one
+        coefficient power.  The charges come from running the squaring on
+        the exponents k of the powers c^k alone, so no big number is built
+        before it is paid for: the numerator and denominator v^k of c^k have
+        floor(k log2 |v|) + 1 bits, taken in floating point (exact unless
+        k log2 |v| lies within rounding of an integer).
+        """
+        if len(base.terms) != 1 or not e:
+            return _power(base, e, self.mul)
+        (m, c), = base.terms
+        n, d = c.as_integer_ratio()
+        ln, ld = log2(abs(n)), log2(d)
+
+        def mul_exponents(i, j):  # c^i * c^j, charged as mul charges it
+            wi, wj = (-(-(2 + int(k * ln) + int(k * ld)) // 64) for k in (i, j))
+            self.charge(1 + wi * wj)
+            return i + j
+
+        if ln or ld:
+            _power(1, e, mul_exponents)
+        else:  # c = +-1: each of the squaring's products costs 1 + 1 * 1
+            self.charge(2 * (e.bit_count() + e.bit_length() - 2))
+        return Poly._raw((((m[0] * e, m[1] * e, m[2] * e), c ** e),))
 
     def parse(self) -> Poly:
         e = self.expr()
@@ -689,7 +708,7 @@ class _PolyParser:
             kind, text = self.take() if self.pos < len(self.tokens) else (None, "")
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            base = _power(base, int(text), self.mul)
+            base = self.power(base, int(text))
         return base
 
     def atom(self) -> Poly:

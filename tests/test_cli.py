@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bracketdec import cli
 from bracketdec.cli import main
 from bracketdec.poly import MAX_PARSE_COST
 
@@ -119,6 +121,37 @@ def test_element_denominator_parse_bounded_exits_4():
     doc = json.loads(proc.stdout)
     assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
     assert "Traceback" not in proc.stderr
+
+
+def test_repeated_root_check_of_long_denominator_finishes():
+    # the squarefree check runs Euclid on f and f'; without monic remainders
+    # the coefficients of this degree-120 f grow until it takes minutes
+    rng = random.Random(1)
+    f = " + ".join(f"{rng.randint(1, 9)} x^{i}" for i in range(121))
+    proc = subprocess.run(_BASE + ["check", "--curve", f"line minus {f}", "--max-steps", "10"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["curve"]["variant"] == "line_minus"
+
+
+def test_localize_budgets_target_before_localizing(monkeypatch):
+    # the target x^119999 / x^240000 runs out of 10 steps before the pairs
+    # are pushed onto the localized line with the default budget
+    def fail(*args):
+        raise AssertionError("localize_decomp called")
+
+    monkeypatch.setattr(cli, "localize_decomp", fail)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["localize", "--curve", "line minus x", "--pairs", "x^120000, 1",
+                     "--k", "120000", "--max-steps", "10"])
+    assert code == 4
+    assert json.loads(out.getvalue())["error"]["code"] == "step_budget_exceeded"
+
+
+def test_non_decimal_digit_is_parse_error():
+    code, doc, err = run_cli("decompose", "--curve", "line", "--target", "x²")
+    assert code == 2 and doc["error"]["code"] == "parse_error"
+    assert doc["error"]["message"] == "unexpected character '²' in polynomial text"
 
 
 def test_decompose_plane():

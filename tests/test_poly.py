@@ -75,7 +75,7 @@ def _nested(depth):
 
 
 @pytest.mark.parametrize("bad", ["", "w", "x^", "x^-1", "3/0", "(x", "x )", "1//2", "x / 2",
-                                 _nested(MAX_NESTING + 1), _nested(3000)])
+                                 "x²", _nested(MAX_NESTING + 1), _nested(3000)])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_poly(bad)
@@ -111,6 +111,37 @@ def test_parse_coefficient_bits_bound():
     assert parse_poly("3^40000").as_constant() == 3 ** 40000
     assert parse_poly("(2/3)^40 x^200000000") == Poly.monomial((200_000_000, 0, 0),
                                                              Fraction(2, 3) ** 40)
+
+
+def test_parse_monomial_power_takes_no_product(monkeypatch):
+    calls = []
+
+    def counting(pairs):
+        calls.append(1)
+        return _sum_of_products(pairs)
+
+    monkeypatch.setattr(poly_module, "_sum_of_products", counting)
+    assert parse_poly("x^1000000") == Poly.monomial((1_000_000, 0, 0))
+    assert not calls
+    assert parse_poly("(2/3 x y^2)^7") == Poly.monomial((7, 14, 0), Fraction(2, 3) ** 7)
+
+
+@pytest.mark.parametrize("base", ["x", "3", "1/2", "(-1)", "(2/3 x)", "(-5/4096 x y^2 z)",
+                                  "(123456789)", "(18446744073709551616/3)"])
+def test_parse_monomial_power_charged_as_squaring(base):
+    # a one-term power is charged what repeated squaring through the
+    # parser's product would be charged, and builds the same polynomial
+    b = parse_poly(base)
+    for e in (0, 1, 2, 3, 7, 64, 65, 1000, 4097, 30001, 65000):
+        direct, squared = poly_module._PolyParser([]), poly_module._PolyParser([])
+        try:
+            want = poly_module._power(b, e, squared.mul)
+        except StepBudgetExceeded:
+            with pytest.raises(StepBudgetExceeded):
+                direct.power(b, e)
+            continue
+        assert direct.power(b, e) == want
+        assert direct.cost == squared.cost
 
 
 def test_parse_long_flat_sum():
@@ -531,3 +562,24 @@ def test_gcd_univariate():
     assert gcd_univariate(parse_poly("x^3 + x"), parse_poly("3x^2 + 1")).is_constant()
     with pytest.raises(ValueError):
         gcd_univariate(parse_poly("x*y"), parse_poly("x"))
+
+
+def test_gcd_univariate_matches_sympy():
+    x = sympy.Symbol("x")
+    rng = random.Random(1301)
+
+    def factor():
+        return sum(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) * x ** i
+                   for i in range(rng.randint(1, 3))) + Fraction(rng.randint(1, 7), 3) * x ** 4
+
+    for _ in range(60):
+        # a shared factor, some of it repeated, times non-monic cofactors
+        common = factor() ** rng.randint(1, 3)
+        a = sympy.expand(common * factor() * rng.randint(1, 9))
+        b = sympy.expand(common * factor() ** rng.randint(1, 2) * Fraction(2, 7))
+        want = sympy.Poly(sympy.gcd(a, b), x).monic()
+        got = gcd_univariate(*(parse_poly(" + ".join(f"({c}) x^{e}" for (e,), c
+                                                     in sympy.Poly(p, x).terms()))
+                               for p in (a, b)))
+        assert got == Poly([((e, 0, 0), Fraction(int(c.p), int(c.q)))
+                            for (e,), c in want.terms()])
