@@ -46,6 +46,8 @@ from .poly import (
     MonomialOrder,
     Poly,
     StepBudget,
+    _remainder_steps_mod_p,
+    _squarefree_mod_p,
     apply_derivation,
     divide_multivariate,
     format_number,
@@ -241,11 +243,18 @@ class LocalizedLine(Curve):
 
         A constant p, zero included, comes back with j = 0 and is never
         divided: the nonconstant f divides no nonzero constant.  The trial
-        divisions share one budget of max_steps steps.
+        divisions share one budget of max_steps steps.  Before each one a
+        degree check or a division modulo a prime may prove that f does not
+        divide p; the loop then stops, charging the steps the exact division
+        would have spent, and every j it keeps is an exact quotient.
         """
         budget = StepBudget(self.max_steps)
         j = 0
         while j < most and not p.is_constant():
+            steps = _remainder_steps_mod_p(p, self.denominator)
+            if steps is not None:
+                budget.spend(steps)
+                break
             quotients, rem = divide_multivariate(p, [self.denominator], budget=budget)
             if not rem.is_zero():
                 break
@@ -454,7 +463,9 @@ def parse_curve(text: str, *,
     if s.startswith("line minus "):
         line = LocalizedLine(parse_poly(s[len("line minus "):]), max_steps=max_steps)
         f = line.denominator
-        if not gcd_univariate(f, partial_derivative(f, "x")).is_constant():
+        # a constant gcd modulo a prime proves f squarefree without Euclid over Q
+        if not _squarefree_mod_p(f) \
+                and not gcd_univariate(f, partial_derivative(f, "x")).is_constant():
             warnings.warn(
                 "localization denominator has a repeated root; "
                 "its squarefree part defines the same ring",

@@ -89,7 +89,9 @@ def _construct(curve, target, unit, poly: Poly, elem, coords: tuple,
     """
     if poly.is_zero():
         return _verified(curve, (), (), target, info)
-    cofs = [poly * u for u in unit.cofactors]
+    # solve_rgh reads only the cofactors of x and coords; a trace prints them all
+    cofs = [poly * u for u in (unit.cofactors if info is not None
+                               else unit.cofactors[:len(coords) + 1])]
     r, *partners = solve_rgh(cofs, coords)
     # (variable, its bracket partner): (y, g) on plane curves, (y, g), (z, h) in space
     extra = tuple(zip((Poly.variable(v) for v in coords), partners))

@@ -428,8 +428,8 @@ class StepBudget:
     def __init__(self, limit: int):
         self.remaining = int(limit)
 
-    def spend(self) -> None:
-        self.remaining -= 1
+    def spend(self, steps: int = 1) -> None:
+        self.remaining -= steps
         if self.remaining < 0:
             raise StepBudgetExceeded("reduction step budget exhausted")
 
@@ -546,6 +546,104 @@ def gcd_univariate(p: Poly, q: Poly, var: str = "x") -> Poly:
     if a.is_zero():
         return a
     return a * (1 / a.leading_term()[1])
+
+
+# -- division modulo a prime --------------------------------------------------
+
+# The Mersenne prime 2^61 - 1.  Reducing modulo P maps the division of
+# univariate p by f over Q onto the division of their images whenever P
+# divides no denominator of p or f and not lc(f): the images of the exact
+# quotient and remainder are the quotient and remainder modulo P.  So a
+# nonzero remainder modulo P proves a nonzero remainder over Q, while a zero
+# one proves nothing.
+_P = (1 << 61) - 1
+
+
+def _residues(p: Poly):
+    """Coefficients of the nonzero p, univariate in x, modulo P from degree 0 up.
+
+    None when P divides a denominator, or when p is too sparse for a list
+    with one entry per degree to cost at most about twice its terms, so
+    that x^120000 never becomes a list.
+    """
+    deg = p.terms[0][0][0]
+    if deg > 2 * len(p.terms) + 8:
+        return None
+    res = [0] * (deg + 1)
+    for (e, _, _), c in p.terms:
+        n, d = c.as_integer_ratio()
+        if d != 1:
+            if not d % _P:
+                return None
+            n *= pow(d, -1, _P)
+        res[e] = n % _P
+    return res
+
+
+def _divide_mod_p(a: list, b: list) -> tuple:
+    """(nonzero quotient coefficients, remainder) of residue lists a by b modulo P.
+
+    b's last entry must be nonzero; the remainder is a residue list with no
+    zero last entry.  The inner loop visits only b's nonzero terms, and
+    entries of a are reduced only when they are read.
+    """
+    db = len(b) - 1
+    inv = pow(b[db], -1, _P)
+    tail = [(e, c) for e, c in enumerate(b[:db]) if c]
+    a = list(a)
+    nq = 0
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db] % _P
+        if c:
+            nq += 1
+            q = c * inv % _P
+            for e, t in tail:
+                a[k + e] -= q * t
+    rem = [c % _P for c in a[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return nq, rem
+
+
+def _remainder_steps_mod_p(p: Poly, f: Poly):
+    """Steps divide_multivariate(p, [f]) would spend, when a check modulo P
+    proves that it leaves a remainder; None when the exact division must run.
+
+    p and f are nonconstant and univariate in x.  A p of lower degree than f
+    is its own remainder, one step per term.  Otherwise, when p is dense
+    enough and P divides no denominator and not lc(f), a nonzero remainder
+    modulo P decides it, and the steps are the nonzero quotient and
+    remainder coefficients of the run modulo P; the exact division spends
+    one step per nonzero quotient and remainder coefficient over Q, the same
+    count unless one of those is a multiple of P.
+    """
+    if p.terms[0][0][0] < f.terms[0][0][0]:
+        return len(p.terms)
+    a = _residues(p)
+    if a is None:
+        return None
+    b = _residues(f)
+    if b is None or not b[-1]:
+        return None
+    nq, rem = _divide_mod_p(a, b)
+    return nq + sum(1 for c in rem if c) if rem else None
+
+
+def _squarefree_mod_p(f: Poly) -> bool:
+    """True when gcd(f, f') modulo P is constant, which proves the gcd over Q
+    constant; False when it is not or when the check cannot decide.
+
+    f is nonconstant and univariate in x.  Any common factor g of f and f'
+    over Q, made primitive in Z[x], keeps its degree modulo P when P divides
+    no denominator of f and not lc(f), and divides both images there.
+    """
+    a, b = _residues(f), _residues(partial_derivative(f, "x"))
+    if a is None or b is None or not a[-1]:
+        return False
+    # b's last entry, deg(f) lc(f), is then nonzero: a listed f has degree below P
+    while b:
+        a, b = b, _divide_mod_p(a, b)[1]
+    return len(a) == 1
 
 
 # -- parsing ----------------------------------------------------------------

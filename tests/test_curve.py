@@ -1,8 +1,13 @@
 import random
+import time
 import warnings
 from fractions import Fraction
+from math import inf, prod
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracketdec import curve as curve_module
 from bracketdec.curve import (
@@ -25,7 +30,15 @@ from bracketdec.errors import (
 )
 from bracketdec.decompose import localize_decomp, single_bracket_line, two_bracket_plane
 from bracketdec.groebner import buchberger
-from bracketdec.poly import MonomialOrder, Poly, parse_poly, partial_derivative
+from bracketdec.poly import (
+    MonomialOrder,
+    Poly,
+    StepBudget,
+    divide_multivariate,
+    gcd_univariate,
+    parse_poly,
+    partial_derivative,
+)
 
 # The plane curves of the acceptance corpus, and a quartic under GRLEX.
 _PLANE_CORPUS = [(f"y^2 - ({h})", MonomialOrder.LEX)
@@ -326,6 +339,179 @@ def test_localized_parse_element():
         line.parse_element("1 / (x + 2)")
     with pytest.raises(ParseError):
         line.parse_element("1 / (x^2 - 1) / (x^2 - 1)")
+
+
+# -- trial division by f, rejected modulo P = 2^61 - 1 ----------------------------------
+
+_P = 2**61 - 1
+
+
+def _upoly(coeffs) -> Poly:
+    return Poly(((i, 0, 0), c) for i, c in enumerate(coeffs))
+
+
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# a factor of degree 1 or 2 with a nonzero leading coefficient
+_factors = st.tuples(st.lists(_coeffs, min_size=1, max_size=2),
+                     _coeffs.filter(bool)).map(lambda t: _upoly(t[0] + [t[1]]))
+# lc * prod factor^multiplicity: non-monic, rational and repeated-root f
+_denominators = st.tuples(
+    _coeffs.filter(bool),
+    st.lists(st.tuples(_factors, st.integers(1, 3)), min_size=1, max_size=2),
+).map(lambda t: prod((g ** m for g, m in t[1]), start=Poly.constant(t[0])))
+
+
+@st.composite
+def _numerators(draw, f):
+    """f^j times a dense or a sparse high-degree cofactor, sometimes plus a remainder."""
+    if draw(st.booleans()):
+        cofactor = _upoly(draw(st.lists(_coeffs, max_size=8)))
+    else:
+        cofactor = Poly([((draw(st.integers(30, 300)), 0, 0), draw(_coeffs.filter(bool))),
+                         ((0, 0, 0), draw(_coeffs))])
+    p = cofactor * f ** draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        p = p + _upoly(draw(st.lists(_coeffs, max_size=4)))
+    return p
+
+
+class _RecordedBudget(StepBudget):
+    made: list = []
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.made.append(self)
+
+
+def _divide_out_unfiltered(line, p, most):
+    """The lowest-terms loop with an exact division for every trial."""
+    budget = StepBudget(line.max_steps)
+    j = 0
+    while j < most and not p.is_constant():
+        quotients, rem = divide_multivariate(p, [line.denominator], budget=budget)
+        if not rem.is_zero():
+            break
+        p = quotients[0]
+        j += 1
+    return p, j, budget.remaining
+
+
+def _outcome(run):
+    try:
+        return run()
+    except StepBudgetExceeded:
+        return "exhausted"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), f=_denominators, most=st.one_of(st.integers(0, 6), st.just(inf)),
+       max_steps=st.sampled_from([3, 20, 200, 10**6]))
+def test_filtered_divide_out_matches_exact_loop(data, f, most, max_steps):
+    # the mod-P reject keeps every quotient, every j and the remaining budget
+    p = data.draw(_numerators(f))
+    line = LocalizedLine(f, max_steps=max_steps)
+
+    def filtered():
+        _RecordedBudget.made.clear()
+        with mock.patch.object(curve_module, "StepBudget", _RecordedBudget):
+            q, j = line._divide_out(p, most)
+        return q, j, _RecordedBudget.made[0].remaining
+
+    assert _outcome(filtered) == _outcome(lambda: _divide_out_unfiltered(line, p, most))
+
+
+def _count_exact_divisions(monkeypatch) -> list:
+    calls = []
+    divide = curve_module.divide_multivariate
+    monkeypatch.setattr(curve_module, "divide_multivariate",
+                        lambda *a, **k: calls.append(a[0]) or divide(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("f, p, most, exact, j", [
+    # decided modulo P: x^3 + 2 = x (x^2 + 1) - x + 2
+    ("x^2 + 1", "x^3 + 2", 1, 0, 0),
+    # P divides a denominator of p, or lc(f): the exact division runs
+    ("x^2 + 1", "x^3 + 1/2305843009213693951", 1, 1, 0),
+    ("x^2 + 1", "(x^2 + 1)^2 (x + 1/2305843009213693951)", 3, 2, 2),
+    ("2305843009213693951 x^2 + 1", "x^3 + 2", 1, 1, 0),
+    ("x - 1/2305843009213693951", "(x - 1/2305843009213693951) (x^2 + 3)", 2, 2, 1),
+    # a sparse numerator takes the exact path, never a list of 301 residues
+    ("x + 1", "x^300 + 2", 1, 1, 0),
+    # a lower degree decides without any division
+    ("x^2 + 1", "(x^2 + 1) x", 2, 1, 1),
+])
+def test_divide_out_defers_to_exact_division(monkeypatch, f, p, most, exact, j):
+    line = LocalizedLine(parse_poly(f))
+    calls = _count_exact_divisions(monkeypatch)
+    num = parse_poly(p)
+    q, got = line._divide_out(num, most)
+    assert (len(calls), got) == (exact, j)
+    assert q * line.denominator ** j == num
+
+
+@pytest.mark.parametrize("f, p, steps", [
+    ("x^2 + 1", "x^3 + 2", 3),  # quotient x, remainder -x + 2
+    ("x^3 + 1", "x^5 + 3", 3),  # quotient x^2, remainder -x^2 + 3
+    ("x^2 + 1", "x", 1),        # the degree check: one step per term
+    ("x^3 + 1", "x^2 - 4", 2),
+])
+def test_mod_p_reject_charges_the_exact_steps(f, p, steps):
+    assert LocalizedLine(parse_poly(f), max_steps=steps).elem(parse_poly(p), 1).exponent == 1
+    with pytest.raises(StepBudgetExceeded):
+        LocalizedLine(parse_poly(f), max_steps=steps - 1).elem(parse_poly(p), 1)
+
+
+# -- the repeated-root check of line minus f ------------------------------------------
+
+def _count_exact_gcds(monkeypatch) -> list:
+    calls = []
+    gcd = curve_module.gcd_univariate
+    monkeypatch.setattr(curve_module, "gcd_univariate",
+                        lambda *a: calls.append(a[0]) or gcd(*a))
+    return calls
+
+
+@pytest.mark.parametrize("f, warns, exact", [
+    ("x^2 - 1", False, 0),
+    ("(x - 1)^2*(x + 2)", True, 1),
+    ("2x^2 + 3", False, 0),
+    # P divides lc(f), or a denominator of f: Euclid over Q decides
+    ("2305843009213693951 (x - 1)^2", True, 1),
+    ("2305843009213693951 x^2 + 1", False, 1),
+    ("x^2 + 1/2305843009213693951", False, 1),
+    # too sparse for a residue list
+    ("x^100 + 1", False, 1),
+])
+def test_repeated_root_check_modulo_p(monkeypatch, f, warns, exact):
+    calls = _count_exact_gcds(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_curve(f"line minus {f}")
+    assert (len(caught), len(calls)) == (int(warns), exact)
+
+
+def test_repeated_root_check_of_degree_300_is_fast():
+    # Euclid over Q on this dense f took 15.6 s; modulo P it takes milliseconds
+    rng = random.Random(1)
+    f = " + ".join(f"{rng.randint(1, 9)} x^{i}" for i in range(301))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_curve(f"line minus {f}", max_steps=10)
+    assert time.perf_counter() - start < 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_denominators)
+def test_repeated_root_check_matches_euclid(f):
+    # a constant gcd modulo P proves f squarefree, and no gcd here is a
+    # nonzero multiple of P, so the two checks agree
+    exact = gcd_univariate(f, partial_derivative(f, "x")).is_constant()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_curve(f"line minus {f}")
+    assert bool(caught) is not exact
 
 
 # -- curve grammar -------------------------------------------------------------------

@@ -195,6 +195,25 @@ def test_three_bracket_space_trace():
 
 # -- the shared certificate construction ----------------------------------------------
 
+@pytest.mark.parametrize("curve, decompose, used, traced", [
+    (plane, two_bracket_plane, 2, 3),
+    (twisted_cubic, three_bracket_space, 3, 5),
+])
+def test_untraced_construction_scales_only_the_cofactors_it_solves_with(
+        monkeypatch, curve, decompose, used, traced):
+    # solve_rgh reads the cofactors of x, y (and z); the F or generator
+    # cofactors are scaled by the target only for a trace
+    seen = []
+    solve = dec.solve_rgh
+    monkeypatch.setattr(dec, "solve_rgh", lambda cofs, coords: seen.append(len(cofs))
+                        or solve(cofs, coords))
+    c = curve()
+    target = c.reduce(parse_poly("x^2 + y"))
+    plain, shown = decompose(c, target), decompose(c, target, trace=True)
+    assert seen == [used, traced]
+    assert plain.pairs == shown.pairs
+
+
 def test_trace_cofactors_match_basis_certificate(rand_poly):
     # the cofactors are the target times the stored unit row, which is what a
     # division by the basis (1) of the certificate's generators gives

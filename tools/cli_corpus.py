@@ -67,6 +67,16 @@ ERROR_CASES = [
     ["frobnicate"],                                                  # argparse exit 2
     ["decompose", "--curve", "line"],                                # argparse exit 2
     ["localize", "--curve", "line minus x", "--pairs", "x, 1", "--k", "one"],
+    # the trial divisions by f, rejected modulo P = 2^61 - 1 or run exactly
+    ["decompose", "--curve", "line minus 2x^2 + 3", "--target", "(x^3 + 1/2) / (2x^2 + 3)^3"],
+    ["localize", "--curve", "line minus x^2 + 1", "--pairs", "x^40 + 1, x^3", "--k", "2",
+     "--max-steps", "10"],                                          # sparse pair
+    ["decompose", "--curve", "line minus x - 1/2305843009213693951",  # P divides a denominator
+     "--target", "(x^2 + 1) / (x - 1/2305843009213693951)^2"],
+    ["decompose", "--curve", "line minus 2305843009213693951 x^2 - 1",  # P divides lc(f)
+     "--target", "x / (2305843009213693951 x^2 - 1)^2"],
+    ["check", "--curve", "line minus " + " + ".join(                # dense degree 120
+        f"{rng.randint(1, 9)} x^{i}" for rng in [random.Random(1)] for i in range(121))],
 ]
 
 _CURVES = ["line", "line minus x^2 - 1", "line minus (x - 1)^2*(x + 2)", "line minus x",
