@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .curve import AffineLine, LocalizedLine, PlaneCurve, SpaceCurve, parse_curve
 from .decompose import (
-    localize_decomp,
+    _localize,
     rational_decompose,
     single_bracket_line,
     three_bracket_space,
@@ -114,11 +114,8 @@ def _run_localize(args, curve) -> dict:
     if not isinstance(curve, LocalizedLine):
         raise ValidationError("localize needs a curve of the form: line minus <f>")
     line = AffineLine()
-    decomp = BracketDecomp(line, _parse_pairs(line, args.pairs))
-    # the target is reduced under --max-steps before localize_decomp reduces
-    # it again on its default budget; a negative k is left to its check
-    target = curve.elem(recombine(decomp).coeff.poly, 2 * max(args.k, 0))
-    out = localize_decomp(decomp, curve.denominator, args.k, args.trace)
+    target, out = _localize(BracketDecomp(line, _parse_pairs(line, args.pairs)),
+                            curve, args.k, args.trace)
     return {"k": args.k, **_decomp_fields(target, out)}
 
 

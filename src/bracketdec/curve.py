@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     BadVariables,
@@ -46,8 +46,8 @@ from .poly import (
     MonomialOrder,
     Poly,
     StepBudget,
+    _parse_quotient,
     _remainder_steps_mod_p,
-    _squarefree_mod_p,
     apply_derivation,
     divide_multivariate,
     format_number,
@@ -188,7 +188,7 @@ class AffineLine(Curve):
     unit_cert = MembershipCertificate(Poly.one(), (Poly.one(),), (Poly.one(),))
 
     def reduce(self, p: Poly) -> RingElem:
-        if not p.uses_only(("x",)):
+        if not p.uses_only(self.variables):
             raise BadVariables("elements of the line are univariate in x")
         return RingElem(self, p)
 
@@ -208,15 +208,16 @@ class AffineLine(Curve):
 class LocalizedLine(Curve):
     """The affine line with the zero set of a fixed denominator removed.
 
-    Coordinate ring Q[x][1/f]; the trivializing field is still d/dx.
-    max_steps bounds the division steps of each element's lowest-terms
-    reduction and of parsing each element's denominator.
+    Coordinate ring Q[x][1/f]; the trivializing field is still d/dx, so the
+    line's unit certificate serves here too.  max_steps bounds the division
+    steps of each element's lowest-terms reduction and of parsing each
+    element's denominator.
     """
 
     variables = ("x",)
 
     def __init__(self, denominator: Poly, *, max_steps: int = DEFAULT_MAX_STEPS):
-        if not denominator.uses_only(("x",)):
+        if not denominator.uses_only(self.variables):
             raise BadVariables("localization denominator must be univariate in x")
         if denominator.is_constant():
             raise ValidationError("localization denominator must be nonconstant")
@@ -228,12 +229,16 @@ class LocalizedLine(Curve):
         exponent = int(exponent)
         if exponent < 0:
             raise ValueError("denominator exponent must be nonnegative")
-        if not numerator.uses_only(("x",)):
+        if not numerator.uses_only(self.variables):
             raise BadVariables("localized elements are univariate in x")
         if numerator.is_zero():
             return LocalizedElem(self, numerator, 0)
         numerator, j = self._divide_out(numerator, exponent)
         return LocalizedElem(self, numerator, exponent - j)
+
+    @property
+    def unit_cert(self) -> MembershipCertificate:
+        return AffineLine.unit_cert
 
     def reduce(self, p: Poly) -> LocalizedElem:
         return self.elem(p, 0)
@@ -264,11 +269,10 @@ class LocalizedLine(Curve):
 
     def parse_element(self, text: str) -> LocalizedElem:
         """Parse `num` or `num / den` where den is c * f^m for the line's f."""
-        split = _split_element_division(text)
-        if split is None:
-            return self.reduce(parse_poly(text))
-        num = parse_poly(split[0])
-        den, m = self._divide_out(parse_poly(split[1]), inf)
+        num, den = _parse_quotient(text)
+        if den is None:
+            return self.reduce(num)
+        den, m = self._divide_out(den, inf)
         if not den.is_constant():
             raise ParseError(
                 "element denominator must be a constant multiple of a power "
@@ -291,26 +295,6 @@ class LocalizedLine(Curve):
         return f"LocalizedLine({self.denominator})"
 
 
-def _split_element_division(text: str) -> Optional[tuple]:
-    """Split at a top-level '/' that starts a polynomial denominator.
-
-    A '/' directly followed by an integer is a rational coefficient and is
-    left to the polynomial parser.  Returns (numerator_text,
-    denominator_text) or None.
-    """
-    depth = 0
-    for idx, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            rest = text[idx + 1:].lstrip()
-            if rest and not rest[0].isdigit():
-                return text[:idx], text[idx + 1:]
-    return None
-
-
 class PlaneCurve(Curve):
     """A smooth plane curve V(F) in the (x, y) plane.
 
@@ -326,10 +310,12 @@ class PlaneCurve(Curve):
     simple, not a precondition of the code.
     """
 
+    variables = ("x", "y")
+
     def __init__(self, equation: Poly, *,
                  order: MonomialOrder = MonomialOrder.LEX,
                  max_steps: int = DEFAULT_MAX_STEPS):
-        if not equation.uses_only(("x", "y")):
+        if not equation.uses_only(self.variables):
             raise BadVariables("plane curve equation must use x and y only")
         if equation.is_constant():
             raise ValidationError("plane curve equation must be nonconstant")
@@ -348,7 +334,7 @@ class PlaneCurve(Curve):
             Poly.one(), self.tau_components + (equation,), (c, -b, a))
 
     def reduce(self, p: Poly) -> RingElem:
-        if not p.uses_only(("x", "y")):
+        if not p.uses_only(self.variables):
             raise BadVariables("plane curve elements use x and y only")
         return RingElem(self, normal_form(p, self.gb, StepBudget(self.max_steps)))
 
@@ -384,6 +370,8 @@ class SpaceCurve(Curve):
     which is not checked; irreducibility is not needed, since the
     construction uses only that certificate.
     """
+
+    variables = ("x", "y", "z")
 
     def __init__(self, generators: Sequence[Poly], tau_components: Sequence[Poly], *,
                  order: MonomialOrder = MonomialOrder.LEX,
@@ -463,9 +451,7 @@ def parse_curve(text: str, *,
     if s.startswith("line minus "):
         line = LocalizedLine(parse_poly(s[len("line minus "):]), max_steps=max_steps)
         f = line.denominator
-        # a constant gcd modulo a prime proves f squarefree without Euclid over Q
-        if not _squarefree_mod_p(f) \
-                and not gcd_univariate(f, partial_derivative(f, "x")).is_constant():
+        if not gcd_univariate(f, partial_derivative(f, "x")).is_constant():
             warnings.warn(
                 "localization denominator has a repeated root; "
                 "its squarefree part defines the same ring",

@@ -54,7 +54,8 @@ def single_bracket_line(target: RingElem,
     line = target.curve
     if not isinstance(line, AffineLine):
         raise CurveMismatch("single_bracket_line expects an element of the line")
-    return _certificate_decomp(line, target, (), "line", trace)
+    return _construct(line, target, target.poly, line.reduce,
+                      {"method": "line"} if trace else None)
 
 
 def solve_rgh(cofactors: list, coords: tuple):
@@ -69,19 +70,12 @@ def solve_rgh(cofactors: list, coords: tuple):
                  for v, c in zip(coords, cofactors[1:])))
 
 
-def _certificate_decomp(curve, target: RingElem, coords: tuple, method: str,
-                        trace: bool) -> BracketDecomp:
-    """The construction on a polynomial-ring curve with extra coordinates coords."""
-    return _construct(curve, target, curve.unit_cert, target.poly, curve.reduce, coords,
-                      {"method": method} if trace else None)
+def _construct(curve, target, poly: Poly, elem, info) -> BracketDecomp:
+    """The brackets presenting target, the field poly * tau, on curve.
 
-
-def _construct(curve, target, unit, poly: Poly, elem, coords: tuple,
-               info) -> BracketDecomp:
-    """The brackets presenting target, the field poly * tau, from unit scaled by poly.
-
-    The cofactors are poly times the unit certificate; they need no
-    division and no check of their own.  With (r, g_v) from solve_rgh and
+    The cofactors are poly times the curve's unit certificate; they need no
+    division and no check of their own.  The extra coordinates are the
+    curve's variables after x.  With (r, g_v) from solve_rgh and
     f = r - sum v g_v, the pairs are the lifts (1, f) and (v, g_v), one per
     extra coordinate v, mapped to elements by elem, and each bracket is
     computed once; zero brackets are dropped.  info, unless None, receives
@@ -89,6 +83,7 @@ def _construct(curve, target, unit, poly: Poly, elem, coords: tuple,
     """
     if poly.is_zero():
         return _verified(curve, (), (), target, info)
+    unit, coords = curve.unit_cert, curve.variables[1:]
     # solve_rgh reads only the cofactors of x and coords; a trace prints them all
     cofs = [poly * u for u in (unit.cofactors if info is not None
                                else unit.cofactors[:len(coords) + 1])]
@@ -125,7 +120,8 @@ def two_bracket_plane(curve: PlaneCurve, target: RingElem,
     """
     if not isinstance(curve, PlaneCurve) or target.curve != curve:
         raise CurveMismatch("two_bracket_plane expects an element of a plane curve")
-    return _certificate_decomp(curve, target, ("y",), "plane", trace)
+    return _construct(curve, target, target.poly, curve.reduce,
+                      {"method": "plane"} if trace else None)
 
 
 def three_bracket_space(curve: SpaceCurve, target: RingElem,
@@ -138,7 +134,8 @@ def three_bracket_space(curve: SpaceCurve, target: RingElem,
     """
     if not isinstance(curve, SpaceCurve) or target.curve != curve:
         raise CurveMismatch("three_bracket_space expects an element of a space curve")
-    return _certificate_decomp(curve, target, ("y", "z"), "space", trace)
+    return _construct(curve, target, target.poly, curve.reduce,
+                      {"method": "space"} if trace else None)
 
 
 def localize_decomp(decomp: BracketDecomp, denominator: Poly, k: int,
@@ -149,19 +146,26 @@ def localize_decomp(decomp: BracketDecomp, denominator: Poly, k: int,
     picks up exactly 1/f^(2k), so the localized sum presents g / f^(2k)
     where g tau is the input's field, and the length never changes.
     """
+    return _localize(decomp, LocalizedLine(denominator), k, trace)[1]
+
+
+def _localize(decomp: BracketDecomp, line: LocalizedLine, k: int, trace: bool) -> tuple:
+    """(target, decomposition) of localize_decomp on line, under its step budget.
+
+    The target g / f^(2k) is reduced before the pairs, so a budget that
+    cannot reduce it stops the run before any pair is localized.
+    """
     if not isinstance(decomp.curve, AffineLine):
         raise CurveMismatch("localize_decomp expects a decomposition on the line")
     k = int(k)
     if k < 0:
         raise ValueError("localization exponent must be nonnegative")
-    line = LocalizedLine(denominator)  # validates the denominator
-    original = recombine(decomp)
+    target = line.elem(recombine(decomp).coeff.poly, 2 * k)
     pairs = tuple(
         (VField(line.elem(u.coeff.poly, k)), VField(line.elem(v.coeff.poly, k)))
         for u, v in decomp.pairs)
-    target = line.elem(original.coeff.poly, 2 * k)
     info = {"method": "localize", "k": k} if trace else None
-    return _verified(line, pairs, [bracket(u, v) for u, v in pairs], target, info)
+    return target, _verified(line, pairs, [bracket(u, v) for u, v in pairs], target, info)
 
 
 def rational_decompose(denominator: Poly, target: LocalizedElem,
@@ -183,5 +187,4 @@ def rational_decompose(denominator: Poly, target: LocalizedElem,
     scaled = target.numerator * denominator ** (2 * k - m)
     info = {"method": "rational", "k": k, "scaled_numerator": str(scaled)} if trace else None
     # the line's lifts for scaled * tau, each divided by f^k
-    return _construct(line, target, AffineLine.unit_cert, scaled,
-                      lambda p: line.elem(p, k), (), info)
+    return _construct(line, target, scaled, lambda p: line.elem(p, k), info)

@@ -64,10 +64,6 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
     return min(a[0], b[0]) == 0 and min(a[1], b[1]) == 0 and min(a[2], b[2]) == 0
 
 
-def mono_degree(a: Mono) -> int:
-    return a[0] + a[1] + a[2]
-
-
 def _lex_key(m: Mono):
     # z first, x last: elimination pushes representatives into x
     return (m[2], m[1], m[0])
@@ -171,23 +167,6 @@ class Poly:
         if self.is_constant():
             return self.terms[0][1]
         raise ValueError(f"{self} is not constant")
-
-    def total_degree(self) -> int:
-        """Maximal total degree of a term; -1 for the zero polynomial."""
-        return max((mono_degree(m) for m, _ in self.terms), default=-1)
-
-    def degree_in(self, var: str) -> int:
-        """Maximal exponent of var; -1 for the zero polynomial."""
-        idx = _VAR_INDEX[var]
-        return max((m[idx] for m, _ in self.terms), default=-1)
-
-    def variables(self) -> frozenset:
-        used = set()
-        for m, _ in self.terms:
-            for i, name in enumerate(VARIABLES):
-                if m[i]:
-                    used.add(name)
-        return frozenset(used)
 
     def uses_only(self, names: Sequence[str]) -> bool:
         allowed = {_VAR_INDEX[n] for n in names}
@@ -532,22 +511,6 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
     return [Poly._from_dict(q) for q in quotients], Poly._from_dict(rem)
 
 
-def gcd_univariate(p: Poly, q: Poly, var: str = "x") -> Poly:
-    """Monic gcd of two polynomials in the single variable var."""
-    for item in (p, q):
-        if not item.uses_only((var,)):
-            raise ValueError(f"gcd_univariate needs polynomials in {var} only")
-    a, b = p, q
-    while not b.is_zero():
-        # Euclid over Q on monic remainders; unscaled, the coefficient sizes
-        # grow exponentially along the remainder sequence
-        b = b * (1 / b.leading_term()[1])
-        a, b = b, divide_multivariate(a, [b])[1]
-    if a.is_zero():
-        return a
-    return a * (1 / a.leading_term()[1])
-
-
 # -- division modulo a prime --------------------------------------------------
 
 # The Mersenne prime 2^61 - 1.  Reducing modulo P maps the division of
@@ -629,21 +592,38 @@ def _remainder_steps_mod_p(p: Poly, f: Poly):
     return nq + sum(1 for c in rem if c) if rem else None
 
 
-def _squarefree_mod_p(f: Poly) -> bool:
-    """True when gcd(f, f') modulo P is constant, which proves the gcd over Q
-    constant; False when it is not or when the check cannot decide.
+def gcd_univariate(p: Poly, q: Poly) -> Poly:
+    """Monic gcd of two polynomials in x.
 
-    f is nonconstant and univariate in x.  Any common factor g of f and f'
-    over Q, made primitive in Z[x], keeps its degree modulo P when P divides
-    no denominator of f and not lc(f), and divides both images there.
+    Nonzero p and q are first checked modulo P.  When P divides no
+    denominator of p or q and not lc(p), a constant gcd of their images
+    proves them coprime over Q, and Euclid over Q runs only when it does
+    not: any common factor of p and q over Q, made primitive in Z[x],
+    divides the primitive part of p in Z[x] (Gauss's lemma), so P does not
+    divide its leading coefficient, and its image keeps its degree and
+    divides both images.
     """
-    a, b = _residues(f), _residues(partial_derivative(f, "x"))
-    if a is None or b is None or not a[-1]:
-        return False
-    # b's last entry, deg(f) lc(f), is then nonzero: a listed f has degree below P
-    while b:
-        a, b = b, _divide_mod_p(a, b)[1]
-    return len(a) == 1
+    for item in (p, q):
+        if not item.uses_only(("x",)):
+            raise ValueError("gcd_univariate needs polynomials in x only")
+    if p and q:
+        a, b = _residues(p), _residues(q)
+        if a is not None and b is not None and a[-1]:
+            while b and not b[-1]:
+                b.pop()  # P may divide lc(q)
+            while b:
+                a, b = b, _divide_mod_p(a, b)[1]
+            if len(a) == 1:
+                return _ONE
+    a, b = p, q
+    while not b.is_zero():
+        # Euclid over Q on monic remainders; unscaled, the coefficient sizes
+        # grow exponentially along the remainder sequence
+        b = b * (1 / b.leading_term()[1])
+        a, b = b, divide_multivariate(a, [b])[1]
+    if a.is_zero():
+        return a
+    return a * (1 / a.leading_term()[1])
 
 
 # -- parsing ----------------------------------------------------------------
@@ -761,12 +741,20 @@ class _PolyParser:
             self.charge(2 * (e.bit_count() + e.bit_length() - 2))
         return Poly._raw((((m[0] * e, m[1] * e, m[2] * e), c ** e),))
 
-    def parse(self) -> Poly:
-        e = self.expr()
+    def parse(self, quotient: bool = False) -> tuple:
+        """(polynomial, None) of the text; with quotient, one top-level '/'
+        may follow the polynomial, and the one after it is the denominator."""
+        if not self.tokens:
+            raise ParseError("empty polynomial text")
+        num, den = self.expr(), None
+        if quotient and self.peek() == "/":
+            self.take()
+            self.cost = 0  # each side is charged as its own polynomial text
+            den = self.expr()
         if self.pos != len(self.tokens):
             kind = self.tokens[self.pos][1]
             raise ParseError(f"unexpected {kind!r} after polynomial")
-        return e
+        return num, den
 
     def expr(self) -> Poly:
         sign = 1
@@ -842,7 +830,13 @@ def parse_poly(text: str) -> Poly:
     Accepted syntax: integer and p/q rational coefficients, + - * ^,
     parentheses, and juxtaposition for products (2xy means 2*x*y).
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    return _PolyParser(tokens).parse()
+    return _PolyParser(_tokenize(text)).parse()[0]
+
+
+def _parse_quotient(text: str) -> tuple:
+    """(num, den) of the text `num / den`, or (num, None) of a polynomial text.
+
+    Only a '/' outside parentheses that does not join two integers into a
+    p/q literal splits the text, and at most one may.
+    """
+    return _PolyParser(_tokenize(text)).parse(quotient=True)

@@ -140,7 +140,7 @@ def _list_gcd(a, b):
 
 def _oracle_smooth(h) -> bool:
     """gcd(h, h') is a nonzero constant, by plain list-based Euclid."""
-    coeffs = [Fraction(0)] * (h.degree_in("x") + 1)
+    coeffs = [Fraction(0)] * (h.leading_term()[0][0] + 1 if h else 0)
     for (ex, _, _), c in h.terms:
         coeffs[ex] = c
     deriv = [i * c for i, c in enumerate(coeffs)][1:]

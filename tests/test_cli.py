@@ -5,6 +5,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bracketdec import cli
 from bracketdec.cli import main
 from bracketdec.poly import MAX_PARSE_COST
 
@@ -133,19 +133,28 @@ def test_repeated_root_check_of_long_denominator_finishes():
     assert proc.returncode == 0 and json.loads(proc.stdout)["curve"]["variant"] == "line_minus"
 
 
-def test_localize_budgets_target_before_localizing(monkeypatch):
-    # the target x^119999 / x^240000 runs out of 10 steps before the pairs
-    # are pushed onto the localized line with the default budget
-    def fail(*args):
-        raise AssertionError("localize_decomp called")
-
-    monkeypatch.setattr(cli, "localize_decomp", fail)
+def _localize_exit(pairs: str):
+    """(exit code, error code, seconds) of localize on line minus x with k = 120000."""
     out = io.StringIO()
+    start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main(["localize", "--curve", "line minus x", "--pairs", "x^120000, 1",
+        code = main(["localize", "--curve", "line minus x", "--pairs", pairs,
                      "--k", "120000", "--max-steps", "10"])
-    assert code == 4
-    assert json.loads(out.getvalue())["error"]["code"] == "step_budget_exceeded"
+    return code, json.loads(out.getvalue())["error"]["code"], time.perf_counter() - start
+
+
+def test_localize_budgets_target_before_localizing():
+    # the target x^119999 / x^240000 runs out of 10 steps
+    code, error, _ = _localize_exit("x^120000, 1")
+    assert (code, error) == (4, "step_budget_exceeded")
+
+
+def test_localize_budgets_pairs_of_a_zero_target():
+    # the bracket and the target are zero, so only the pairs' lowest-terms
+    # reductions, x^120000 / x^120000, can spend the budget
+    code, error, seconds = _localize_exit("x^120000, x^120000")
+    assert (code, error) == (4, "step_budget_exceeded")
+    assert seconds < 2
 
 
 def test_non_decimal_digit_is_parse_error():

@@ -48,6 +48,8 @@ ERROR_CASES = [
     ["decompose", "--curve", "line", "--target", "x^"],              # parse_error
     ["decompose", "--curve", "line", "--target", "x²"],              # non-decimal digit
     ["decompose", "--curve", "line minus x", "--target", "1 / y"],   # parse_error
+    ["decompose", "--curve", "line minus x", "--target", "x / 2x"],  # a number after '/'
+    ["decompose", "--curve", "line minus x + 1", "--target", "(x+1) / 2(x+1)^2"],
     ["verify", "--curve", "line", "--target", "x", "--pairs", "x"],  # parse_error
     ["decompose", "--curve", "banana", "--target", "x"],             # parse_error
     ["check", "--curve", "plane y^2 - x^3 - x", "--max-steps", "1"],  # step_budget_exceeded
@@ -55,6 +57,8 @@ ERROR_CASES = [
     ["decompose", "--curve", "line minus x", "--target", "1 / x^1000", "--max-steps", "10"],
     ["localize", "--curve", "line minus x", "--pairs", "x^30, 1", "--k", "30",
      "--max-steps", "10"],                                          # step_budget_exceeded
+    ["localize", "--curve", "line minus x", "--pairs", "x^120000, x^120000", "--k", "120000",
+     "--max-steps", "10"],                                          # zero target, costly pairs
     ["localize", "--curve", "line minus x", "--pairs", "x, 1", "--k", "-1"],  # invalid_input
     ["check", "--curve", "--"],                                      # invalid_input
     ["verify", "--curve", "line", "--target", "x", "--pairs", "1, x"],  # verification_failed
