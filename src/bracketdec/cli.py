@@ -23,37 +23,10 @@ from .decompose import (
     three_bracket_space,
     two_bracket_plane,
 )
-from .errors import (
-    BadVariables,
-    BracketDecError,
-    CertificateFailure,
-    CurveMismatch,
-    DoesNotPreserveIdeal,
-    NotSmooth,
-    ParseError,
-    StepBudgetExceeded,
-    UnitCertificateAbsent,
-    ValidationError,
-    ZeroTau,
-)
+from .errors import BracketDecError, ParseError, ValidationError
 from .groebner import DEFAULT_MAX_STEPS
 from .liealg import BracketDecomp, VField, recombine
 from .poly import MonomialOrder
-
-# (error class, JSON code, exit code), subclasses before their bases; any
-# other error is ("invalid_input", 2)
-_ERRORS = (
-    (NotSmooth, "not_smooth", 3),
-    (BadVariables, "bad_variables", 3),
-    (DoesNotPreserveIdeal, "does_not_preserve_ideal", 3),
-    (UnitCertificateAbsent, "unit_certificate_absent", 3),
-    (ZeroTau, "zero_tau", 3),
-    (CurveMismatch, "curve_mismatch", 3),
-    (CertificateFailure, "certificate_failure", 3),
-    (ValidationError, "validation_error", 3),
-    (ParseError, "parse_error", 2),
-    (StepBudgetExceeded, "step_budget_exceeded", 4),
-)
 
 
 def _cert_doc(cert) -> dict:
@@ -199,16 +172,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if isinstance(value, list):
                 # argparse reads the option value "--" as an empty list
                 raise ParseError(f"--{name.replace('_', '-')} needs a value other than '--'")
+        if args.max_steps < 0:
+            raise ValueError(f"--max-steps must be nonnegative, not {args.max_steps}")
         curve = parse_curve(args.curve, order=MonomialOrder(args.order),
                              max_steps=args.max_steps)
         doc = {"status": "ok", "command": args.command, "curve": curve.describe(),
                **_RUNNERS[args.command](args, curve)}
         code = 0 if doc["status"] == "ok" else 1
     except (BracketDecError, ValueError) as exc:
-        name, code = next(((name, code) for cls, name, code in _ERRORS
-                           if isinstance(exc, cls)), ("invalid_input", 2))
+        # any other ValueError is reported as the base error type is
+        kind = type(exc) if isinstance(exc, BracketDecError) else BracketDecError
         doc = {"status": "error", "command": args.command,
-               "error": {"code": name, "message": str(exc)}}
+               "error": {"code": kind.code, "message": str(exc)}}
+        code = kind.exit_status
     print(json.dumps(doc, indent=2))
     print(_summary(doc), file=sys.stderr)
     return code

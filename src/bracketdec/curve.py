@@ -58,12 +58,22 @@ from .poly import (
 
 
 class Curve:
-    """Common interface of the curve models; instances are immutable."""
+    """Common interface of the curve models; instances are immutable.
+
+    Each model defines reduce(p), the canonical element of p, and
+    describe().  A curve equals one of its own model with the same _key,
+    its defining data; max_steps is not part of it.
+    """
 
     order: MonomialOrder = MonomialOrder.LEX
+    _key: tuple = ()
 
-    def reduce(self, p: Poly):
-        raise NotImplementedError
+    def _member(self, p: Poly) -> Poly:
+        """p, once checked to lie in the curve's ring Q[variables]."""
+        if not p.uses_only(self.variables):
+            raise BadVariables(f"elements of the {self._noun} must use only "
+                               + " and ".join(self.variables))
+        return p
 
     def zero(self):
         return self.reduce(Poly.zero())
@@ -74,30 +84,44 @@ class Curve:
     def parse_element(self, text: str):
         return self.reduce(parse_poly(text))
 
-    def describe(self) -> dict:
-        raise NotImplementedError
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and other._key == self._key)
+
+    def __hash__(self):
+        return hash((type(self), self._key))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key))})"
+
+
+class _Operand:
+    """Arithmetic shared by the value types: both operands of a binary
+    operation are of one type on one curve."""
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.curve != self.curve:
+            raise CurveMismatch(
+                f"operands must both be {type(self).__name__} on one curve")
+        return other
+
+    def __sub__(self, other):
+        return self + -self._check(other)
+
+    def __rmul__(self, scalar):
+        return self.__mul__(scalar)
 
 
 @dataclass(frozen=True)
-class RingElem:
+class RingElem(_Operand):
     """A coordinate-ring element, stored as its canonical representative."""
 
     curve: Curve
     poly: Poly
 
-    def _check(self, other) -> "RingElem":
-        if not isinstance(other, RingElem) or other.curve != self.curve:
-            raise CurveMismatch("operands live on different curves")
-        return other
-
     def __add__(self, other):
         other = self._check(other)
         # normal forms are linear, so no re-reduction is needed
         return RingElem(self.curve, self.poly + other.poly)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return RingElem(self.curve, self.poly - other.poly)
 
     def __neg__(self):
         return RingElem(self.curve, -self.poly)
@@ -108,8 +132,6 @@ class RingElem:
         other = self._check(other)
         return self.curve.reduce(self.poly * other.poly)
 
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
@@ -118,7 +140,7 @@ class RingElem:
 
 
 @dataclass(frozen=True)
-class LocalizedElem:
+class LocalizedElem(_Operand):
     """numerator / denominator^exponent over a localized line.
 
     Built in lowest terms by the line's elem(): the stored numerator is not
@@ -130,11 +152,6 @@ class LocalizedElem:
     curve: "LocalizedLine"
     numerator: Poly
     exponent: int = 0
-
-    def _check(self, other) -> "LocalizedElem":
-        if not isinstance(other, LocalizedElem) or other.curve != self.curve:
-            raise CurveMismatch("operands live on different curves")
-        return other
 
     def __add__(self, other):
         other = self._check(other)
@@ -150,9 +167,6 @@ class LocalizedElem:
                + other.numerator * f ** (m - other.exponent))
         return self.curve.elem(num, m)
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
     def __neg__(self):
         return LocalizedElem(self.curve, -self.numerator, self.exponent)
 
@@ -164,8 +178,6 @@ class LocalizedElem:
         other = self._check(other)
         return self.curve.elem(self.numerator * other.numerator,
                                self.exponent + other.exponent)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -184,25 +196,15 @@ class AffineLine(Curve):
     """The affine line: coordinate ring Q[x], trivializing field d/dx."""
 
     variables = ("x",)
+    _noun = "line"
     tau_components = (Poly.one(),)
     unit_cert = MembershipCertificate(Poly.one(), (Poly.one(),), (Poly.one(),))
 
     def reduce(self, p: Poly) -> RingElem:
-        if not p.uses_only(self.variables):
-            raise BadVariables("elements of the line are univariate in x")
-        return RingElem(self, p)
+        return RingElem(self, self._member(p))
 
     def describe(self) -> dict:
         return {"variant": "line"}
-
-    def __eq__(self, other):
-        return isinstance(other, AffineLine)
-
-    def __hash__(self):
-        return hash(AffineLine)
-
-    def __repr__(self):
-        return "AffineLine()"
 
 
 class LocalizedLine(Curve):
@@ -215,23 +217,21 @@ class LocalizedLine(Curve):
     """
 
     variables = ("x",)
+    _noun = "line"
 
     def __init__(self, denominator: Poly, *, max_steps: int = DEFAULT_MAX_STEPS):
-        if not denominator.uses_only(self.variables):
-            raise BadVariables("localization denominator must be univariate in x")
-        if denominator.is_constant():
+        if self._member(denominator).is_constant():
             raise ValidationError("localization denominator must be nonconstant")
         self.denominator = denominator
         self.max_steps = max_steps
+        self._key = (denominator,)
 
     def elem(self, numerator: Poly, exponent: int = 0) -> LocalizedElem:
         """numerator / f^exponent in lowest terms."""
         exponent = int(exponent)
         if exponent < 0:
             raise ValueError("denominator exponent must be nonnegative")
-        if not numerator.uses_only(self.variables):
-            raise BadVariables("localized elements are univariate in x")
-        if numerator.is_zero():
+        if self._member(numerator).is_zero():
             return LocalizedElem(self, numerator, 0)
         numerator, j = self._divide_out(numerator, exponent)
         return LocalizedElem(self, numerator, exponent - j)
@@ -285,15 +285,6 @@ class LocalizedLine(Curve):
     def describe(self) -> dict:
         return {"variant": "line_minus", "denominator": str(self.denominator)}
 
-    def __eq__(self, other):
-        return isinstance(other, LocalizedLine) and self.denominator == other.denominator
-
-    def __hash__(self):
-        return hash((LocalizedLine, self.denominator))
-
-    def __repr__(self):
-        return f"LocalizedLine({self.denominator})"
-
 
 class PlaneCurve(Curve):
     """A smooth plane curve V(F) in the (x, y) plane.
@@ -311,13 +302,12 @@ class PlaneCurve(Curve):
     """
 
     variables = ("x", "y")
+    _noun = "plane curve"
 
     def __init__(self, equation: Poly, *,
                  order: MonomialOrder = MonomialOrder.LEX,
                  max_steps: int = DEFAULT_MAX_STEPS):
-        if not equation.uses_only(self.variables):
-            raise BadVariables("plane curve equation must use x and y only")
-        if equation.is_constant():
+        if self._member(equation).is_constant():
             raise ValidationError("plane curve equation must be nonconstant")
         F_x, F_y = partial_derivative(equation, "x"), partial_derivative(equation, "y")
         cert = unit_certificate((equation, F_x, F_y), order, max_steps)
@@ -328,15 +318,15 @@ class PlaneCurve(Curve):
         self.tau_components = (F_y, -F_x)
         self.order = order
         self.max_steps = max_steps
+        self._key = (equation, order)
         self.gb = buchberger([equation], order, max_steps)
         a, b, c = cert.cofactors
         self.unit_cert = MembershipCertificate(
             Poly.one(), self.tau_components + (equation,), (c, -b, a))
 
     def reduce(self, p: Poly) -> RingElem:
-        if not p.uses_only(self.variables):
-            raise BadVariables("plane curve elements use x and y only")
-        return RingElem(self, normal_form(p, self.gb, StepBudget(self.max_steps)))
+        return RingElem(self, normal_form(self._member(p), self.gb,
+                                          StepBudget(self.max_steps)))
 
     def decomposition_basis(self) -> MembershipCertificate:
         """The stored unit certificate 1 = c_P P + c_Q Q + c_F F."""
@@ -346,17 +336,6 @@ class PlaneCurve(Curve):
         return {"variant": "plane",
                 "equation": str(self.equation),
                 "tau": [str(c) for c in self.tau_components]}
-
-    def __eq__(self, other):
-        return (isinstance(other, PlaneCurve)
-                and self.equation == other.equation
-                and self.order == other.order)
-
-    def __hash__(self):
-        return hash((PlaneCurve, self.equation, self.order))
-
-    def __repr__(self):
-        return f"PlaneCurve({self.equation})"
 
 
 class SpaceCurve(Curve):
@@ -388,6 +367,7 @@ class SpaceCurve(Curve):
         self.tau_components = comps
         self.order = order
         self.max_steps = max_steps
+        self._key = (gens, comps, order)
         self.gb = buchberger(list(gens), order, max_steps)
         for g in gens:
             if not self.reduce(apply_derivation(comps, g)).is_zero():
@@ -412,19 +392,6 @@ class SpaceCurve(Curve):
         return {"variant": "space",
                 "generators": [str(g) for g in self.generators],
                 "tau": [str(c) for c in self.tau_components]}
-
-    def __eq__(self, other):
-        return (isinstance(other, SpaceCurve)
-                and self.generators == other.generators
-                and self.tau_components == other.tau_components
-                and self.order == other.order)
-
-    def __hash__(self):
-        return hash((SpaceCurve, self.generators, self.tau_components, self.order))
-
-    def __repr__(self):
-        gens = ", ".join(str(g) for g in self.generators)
-        return f"SpaceCurve([{gens}])"
 
 
 # the former factory functions, kept as aliases for existing callers

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .curve import Curve, LocalizedElem, RingElem
+from .curve import Curve, LocalizedElem, RingElem, _Operand
 from .errors import CurveMismatch
 from .poly import _sum_of_products, apply_derivation, partial_derivative
 
@@ -26,7 +26,7 @@ Element = Union[RingElem, LocalizedElem]
 
 
 @dataclass(frozen=True)
-class VField:
+class VField(_Operand):
     """The vector field coeff * tau."""
 
     coeff: Element
@@ -35,16 +35,8 @@ class VField:
     def curve(self) -> Curve:
         return self.coeff.curve
 
-    def _check(self, other) -> "VField":
-        if not isinstance(other, VField) or other.curve != self.curve:
-            raise CurveMismatch("vector fields live on different curves")
-        return other
-
     def __add__(self, other):
         return VField(self.coeff + self._check(other).coeff)
-
-    def __sub__(self, other):
-        return VField(self.coeff - self._check(other).coeff)
 
     def __neg__(self):
         return VField(-self.coeff)
@@ -53,8 +45,6 @@ class VField:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return VField(self.coeff * scalar)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.coeff.is_zero()

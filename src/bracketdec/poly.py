@@ -636,12 +636,15 @@ MAX_NESTING = 100
 # Most work one polynomial text may cost to parse.  The step budget bounds
 # only division, so without this a short text such as (x+1)^3000 or
 # 3^200000000 could run unbounded.  Each product and power step is charged
-# before it runs, len(a.terms) * len(b.terms) * (1 + w_a * w_b) with w the
-# width in 64-bit words of the integer numerators the product multiplies:
-# the longest numerator of the operand plus the length of the lcm of its
-# denominators.  So neither many small terms, nor few huge coefficients, nor
-# many distinct denominators escape the bound; (x+1)^600 costs about
-# 2,000,000.
+# before it runs, len(a.terms) * len(b.terms) * (1 + w_a * w_b + (w_a + w_b) * w_d)
+# with w_a, w_b the width in 64-bit words of the integer numerators the
+# product multiplies (the longest numerator of the operand plus the length
+# of the lcm of its denominators) and w_d the width of the product's common
+# denominator, 0 when both operands have integer coefficients: w_a * w_b
+# pays for the numerator products, (w_a + w_b) * w_d for the gcd of each
+# output term's Fraction.  So neither many small terms, nor few huge
+# coefficients, nor many distinct or long denominators escape the bound;
+# (x+1)^600 costs about 2,000,000.
 MAX_PARSE_COST = 3_000_000
 
 
@@ -660,12 +663,13 @@ def _tokenize(text: str):
     return tokens
 
 
-def _coeff_words(p: Poly) -> int:
-    """Widest integer numerator a product multiplies for p, in 64-bit words.
+def _coeff_words(p: Poly) -> tuple:
+    """(w, den): the widest integer numerator a product multiplies for p, in
+    64-bit words, and the lcm den of p's denominators.
 
     _sum_of_products scales each coefficient of p to an integer numerator
-    over the lcm of all of p's denominators, so the width is at most the
-    longest numerator plus the length of that lcm.
+    over den, so the width is at most the longest numerator plus the length
+    of den.
     """
     bits = 0
     den = 1
@@ -676,7 +680,7 @@ def _coeff_words(p: Poly) -> int:
             bits = b
         if den % d:
             den = lcm(den, d)
-    return -(-(bits + den.bit_length()) // 64)
+    return -(-(bits + den.bit_length()) // 64), den
 
 
 class _PolyParser:
@@ -709,9 +713,11 @@ class _PolyParser:
                 "coefficient word products to expand")
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        wa = _coeff_words(a)
-        wb = wa if b is a else _coeff_words(b)
-        self.charge(len(a.terms) * len(b.terms) * (1 + wa * wb))
+        wa, da = _coeff_words(a)
+        wb, db = (wa, da) if b is a else _coeff_words(b)
+        d = da * db
+        wd = -(-d.bit_length() // 64) if d > 1 else 0
+        self.charge(len(a.terms) * len(b.terms) * (1 + wa * wb + (wa + wb) * wd))
         return a * b
 
     def power(self, base: Poly, e: int) -> Poly:
@@ -732,7 +738,8 @@ class _PolyParser:
 
         def mul_exponents(i, j):  # c^i * c^j, charged as mul charges it
             wi, wj = (-(-(2 + int(k * ln) + int(k * ld)) // 64) for k in (i, j))
-            self.charge(1 + wi * wj)
+            wd = -(-(1 + int((i + j) * ld)) // 64) if ld else 0
+            self.charge(1 + wi * wj + (wi + wj) * wd)
             return i + j
 
         if ln or ld:

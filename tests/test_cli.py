@@ -71,6 +71,18 @@ def test_step_budget_exits_4():
     assert code == 4 and doc["error"]["code"] == "step_budget_exceeded"
 
 
+def test_negative_max_steps_exits_2():
+    # rejected before the curve is parsed, so on every curve, even a bad one
+    for curve in ("line", "line minus x", "plane y^2 - x^3 - x",
+                  "space y - x^2; z - x^3 tau 1, 2x, 3x^2", "banana"):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["decompose", "--curve", curve, "--target", "x", "--max-steps", "-5"])
+        doc = json.loads(out.getvalue())
+        assert code == 2 and doc["error"]["code"] == "invalid_input"
+        assert "--max-steps" in doc["error"]["message"]
+
+
 def test_parse_products_bounded_exits_4():
     # the step budget does not reach parsing; the parser's own cost bound
     # stops (x+1)^3000 long before it expands

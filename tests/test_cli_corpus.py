@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from bracketdec import cli
+from bracketdec import cli, errors
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cli_corpus.py"
 _spec = importlib.util.spec_from_file_location("cli_corpus", _PATH)
@@ -27,5 +27,7 @@ def test_corpus_covers_every_exit_and_error_code():
     assert exits == {0, 1, 2, 3, 4}
     # curve_mismatch and certificate_failure cannot be reached from the CLI:
     # it builds the curve of every decomposition it asks for
-    reachable = {name for _, name, _ in cli._ERRORS} - {"curve_mismatch", "certificate_failure"}
+    declared = {cls.code for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, errors.BracketDecError)}
+    reachable = declared - {"curve_mismatch", "certificate_failure"}
     assert codes >= reachable | {"invalid_input", "verification_failed", None}

@@ -33,6 +33,7 @@ from bracketdec.errors import (
 )
 from bracketdec.decompose import localize_decomp, single_bracket_line, two_bracket_plane
 from bracketdec.groebner import buchberger
+from bracketdec.liealg import VField
 from bracketdec.poly import (
     MonomialOrder,
     Poly,
@@ -182,12 +183,31 @@ def test_ring_elem_arithmetic_is_homomorphic(rand_poly):
         assert c.reduce(p) * Fraction(2, 3) == c.reduce(p * Fraction(2, 3))
 
 
+_MODELS = ("line", "line minus", "plane", "space")
+
+
+def _curve(model, order=MonomialOrder.LEX, max_steps=10_000):
+    if model == "line":
+        return AffineLine()
+    if model == "line minus":
+        return LocalizedLine(parse_poly("x^2 - 1"), max_steps=max_steps)
+    if model == "plane":
+        return PlaneCurve(parse_poly("y^2 - x^3 - x"), order=order, max_steps=max_steps)
+    return SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
+                      [parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")],
+                      order=order, max_steps=max_steps)
+
+
 def test_curve_equality_includes_order():
-    a = PlaneCurve(parse_poly("y^2 - x^3 - x"))
-    b = PlaneCurve(parse_poly("y^2 - x^3 - x"))
-    g = PlaneCurve(parse_poly("y^2 - x^3 - x"), order=MonomialOrder.GRLEX)
-    assert a == b and hash(a) == hash(b)
-    assert a != g
+    # a curve is its model and its defining data; the step budget is not
+    for model in _MODELS:
+        a, b, c = _curve(model), _curve(model), _curve(model, max_steps=50_000)
+        assert a == b == c and hash(a) == hash(b) == hash(c) and repr(a) == repr(c)
+        assert all(a != _curve(other) for other in _MODELS if other != model)
+        if model in ("plane", "space"):
+            assert a != _curve(model, order=MonomialOrder.GRLEX)
+    assert AffineLine() != LocalizedLine(parse_poly("x"))
+    assert _curve("line minus") != LocalizedLine(parse_poly("x^2 + 1"))
 
 
 def test_elements_of_different_curves_do_not_mix():
@@ -195,6 +215,27 @@ def test_elements_of_different_curves_do_not_mix():
     b = PlaneCurve(parse_poly("y^2 - x^3 + x + 1"))
     with pytest.raises(CurveMismatch):
         a.one() + b.one()
+
+
+def test_operands_agree_in_type_and_curve():
+    # each binary operation of RingElem, LocalizedElem and VField requires
+    # both operands of one type on one curve
+    line, plane = AffineLine(), _curve("plane")
+    loc, loc2 = _curve("line minus"), LocalizedLine(parse_poly("x"))
+    values = [line.one(), plane.one(), loc.one(), loc2.one(),
+              VField(line.one()), VField(plane.one()), VField(loc.one())]
+    for u in values:
+        assert u - u == u + -u and 2 * u == u * 2 == u + u
+        for v in values:
+            if v is u:
+                continue
+            with pytest.raises(CurveMismatch):
+                u + v
+            with pytest.raises(CurveMismatch):
+                u - v
+            if not isinstance(u, VField):
+                with pytest.raises(CurveMismatch):
+                    u * v
 
 
 # -- space curves -----------------------------------------------------------------

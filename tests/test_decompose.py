@@ -193,6 +193,15 @@ def test_three_bracket_space_trace():
     assert "h" in d.trace
 
 
+def test_three_bracket_space_wrong_curve():
+    with pytest.raises(CurveMismatch):
+        three_bracket_space(plane(), plane().one())
+    other = SpaceCurve([parse_poly("y^2 - x^3 - x"), parse_poly("z")],
+                       [parse_poly("2y"), parse_poly("3x^2 + 1"), Poly.zero()])
+    with pytest.raises(CurveMismatch):
+        three_bracket_space(twisted_cubic(), other.one())
+
+
 # -- the shared certificate construction ----------------------------------------------
 
 @pytest.mark.parametrize("curve, decompose, used, traced", [

@@ -90,8 +90,11 @@ def test_parse_product_bound():
     with pytest.raises(StepBudgetExceeded, match="parse phase"):
         # 701 terms with coefficients of up to 1,105 bits
         parse_poly("(x+2)^700")
-    expanded = parse_poly("(x+1)^600")
+    parser = poly_module._PolyParser(poly_module._tokenize("(x+1)^600"))
+    expanded = parser.parse()[0]
     assert len(expanded.terms) == 601 and expanded.coefficient((300, 0, 0)) == comb(600, 300)
+    # integer coefficients have no common denominator to charge a gcd against
+    assert parser.cost == 1_997_207
     for text, expected in (("(x - 2y + 1)^7", parse_poly("x - 2y + 1") ** 7),
                            ("(3x)^0", Poly.one()), ("2(x+1)^2", parse_poly("2x^2 + 4x + 2"))):
         assert parse_poly(text) == expected
@@ -99,16 +102,20 @@ def test_parse_product_bound():
 
 def test_parse_coefficient_bits_bound():
     # large coefficients: the coefficient words in the charge stop these.
-    # The last text has small coefficients, but over 300 distinct 62-bit
+    # mixed has small coefficients, but over 300 distinct 62-bit
     # denominators the product multiplies numerators of about 18,000 bits.
     mixed = "(" + " + ".join(f"1/{2 ** 61 + i} x^{i}" for i in range(300)) + ")^2"
+    # each of the 1,000 output terms of this product pays a gcd against a
+    # 47,000-bit denominator: the charge's (w_a + w_b) * w_d stops it
+    long_den = "(2/3)^30000*(" + " + ".join(f"{i + 2} x^{i}" for i in range(1000)) + ")"
     for text in ("3^200000000", "(2/3 x)^1000000", "3^300000",
-                 "(3^30000*(x+1)^280)*(3^30000*(y+1)^280)", mixed):
+                 "(3^30000*(x+1)^280)*(3^30000*(y+1)^280)", mixed, long_den):
         with pytest.raises(StepBudgetExceeded,
                            match=f"parse phase: .* more than {MAX_PARSE_COST} coefficient word"):
             parse_poly(text)
     assert parse_poly("3^1000").as_constant() == 3 ** 1000
     assert parse_poly("3^40000").as_constant() == 3 ** 40000
+    assert parse_poly("(2/3)^30000").as_constant() == Fraction(2, 3) ** 30000
     assert parse_poly("(2/3)^40 x^200000000") == Poly.monomial((200_000_000, 0, 0),
                                                              Fraction(2, 3) ** 40)
 
@@ -562,6 +569,25 @@ def test_gcd_univariate():
                           parse_poly(f"({P} x + 1) (x + 3)")) == parse_poly(f"x + 1/{P}")
     with pytest.raises(ValueError):
         gcd_univariate(parse_poly("x*y"), parse_poly("x"))
+
+
+def test_gcd_univariate_p_divides_lc_of_second_operand(monkeypatch):
+    # P = 2^61 - 1 divides lc(q) but not lc(p): q's image drops its leading
+    # zero and still proves a coprime pair coprime, with no Euclid over Q
+    P = 2**61 - 1
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return divide_multivariate(*args, **kwargs)
+
+    monkeypatch.setattr(poly_module, "divide_multivariate", counting)
+    assert gcd_univariate(parse_poly("x - 2"), parse_poly(f"{P} x^2 + x + 1")) == Poly.one()
+    assert not calls
+    # a shared factor leaves a nonconstant gcd modulo P, and Euclid finds it
+    assert gcd_univariate(parse_poly("(x - 1) (x - 2)"),
+                          parse_poly(f"(x - 1) ({P} x + 1)")) == parse_poly("x - 1")
+    assert calls
 
 
 def test_gcd_univariate_matches_sympy():

@@ -40,6 +40,9 @@ ERROR_CASES = [
     ["check", "--curve", "plane y^2 - x^3"],                         # not_smooth
     ["check", "--curve", "line minus y"],                            # bad_variables
     ["decompose", "--curve", "line", "--target", "x*y"],             # bad_variables
+    ["decompose", "--curve", "line minus x", "--target", "y / x"],   # bad_variables
+    ["check", "--curve", "plane y^2 - z"],                           # bad_variables
+    ["decompose", "--curve", "plane y^2 - x^3 - x", "--target", "z"],  # bad_variables
     ["check", "--curve", "space y - x^2; z - x^3 tau 1, 0, 0"],      # does_not_preserve_ideal
     ["check", "--curve", "space y; z tau x, 0, 0"],                  # unit_certificate_absent
     ["check", "--curve", "space y - x^2; z - x^3 tau 0, 0, 0"],      # zero_tau
@@ -54,6 +57,10 @@ ERROR_CASES = [
     ["decompose", "--curve", "banana", "--target", "x"],             # parse_error
     ["check", "--curve", "plane y^2 - x^3 - x", "--max-steps", "1"],  # step_budget_exceeded
     ["decompose", "--curve", "line", "--target", "(x+1)^3000"],      # parse bound
+    ["decompose", "--curve", "line", "--target",                    # a gcd per output term
+     "(2/3)^30000*(" + " + ".join(f"{i + 2} x^{i}" for i in range(1000)) + ")"],
+    ["decompose", "--curve", "line", "--target", "x", "--max-steps", "-5"],  # invalid_input
+    ["check", "--curve", "plane y^2 - x^3 - x", "--max-steps", "-5"],
     ["decompose", "--curve", "line minus x", "--target", "1 / x^1000", "--max-steps", "10"],
     ["localize", "--curve", "line minus x", "--pairs", "x^30, 1", "--k", "30",
      "--max-steps", "10"],                                          # step_budget_exceeded
