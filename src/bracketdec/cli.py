@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .curve import AffineLine, LocalizedLine, PlaneCurve, SpaceCurve, parse_curve
 from .decompose import (
@@ -164,7 +164,7 @@ _RUNNERS = {"check": _run_check, "decompose": _run_decompose,
             "localize": _run_localize, "verify": _run_verify}
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

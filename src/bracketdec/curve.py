@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import inf
-from typing import Sequence
 
 from .errors import (
     BadVariables,
@@ -47,6 +46,7 @@ from .poly import (
     Poly,
     StepBudget,
     _parse_quotient,
+    _Record,
     _remainder_steps_mod_p,
     apply_derivation,
     divide_multivariate,
@@ -94,9 +94,11 @@ class Curve:
         return f"{type(self).__name__}({', '.join(map(repr, self._key))})"
 
 
-class _Operand:
+class _Operand(_Record):
     """Arithmetic shared by the value types: both operands of a binary
     operation are of one type on one curve."""
+
+    __slots__ = ()
 
     def _check(self, other):
         if type(other) is not type(self) or other.curve != self.curve:
@@ -111,12 +113,14 @@ class _Operand:
         return self.__mul__(scalar)
 
 
-@dataclass(frozen=True)
 class RingElem(_Operand):
     """A coordinate-ring element, stored as its canonical representative."""
 
-    curve: Curve
-    poly: Poly
+    __slots__ = _fields = ("curve", "poly")
+
+    def __init__(self, curve: Curve, poly: Poly):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "poly", poly)
 
     def __add__(self, other):
         other = self._check(other)
@@ -139,7 +143,6 @@ class RingElem(_Operand):
         return str(self.poly)
 
 
-@dataclass(frozen=True)
 class LocalizedElem(_Operand):
     """numerator / denominator^exponent over a localized line.
 
@@ -149,9 +152,12 @@ class LocalizedElem(_Operand):
     the record directly.
     """
 
-    curve: "LocalizedLine"
-    numerator: Poly
-    exponent: int = 0
+    __slots__ = _fields = ("curve", "numerator", "exponent")
+
+    def __init__(self, curve: LocalizedLine, numerator: Poly, exponent: int = 0):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "exponent", exponent)
 
     def __add__(self, other):
         other = self._check(other)
@@ -252,8 +258,19 @@ class LocalizedLine(Curve):
         degree check or a division modulo a prime may prove that f does not
         divide p; the loop then stops, charging the steps the exact division
         would have spent, and every j it keeps is an exact quotient.
+        A one-term f = c x^e is divided out in one pass, charged first as
+        the loop charges: one step per term of p for each division and for
+        the failing trial that ends the loop when it makes one.
         """
         budget = StepBudget(self.max_steps)
+        if len(self.denominator.terms) == 1:
+            ((e, _, _), c), = self.denominator.terms
+            j = min(most, min((m[0] for m, _ in p.terms), default=0) // e)
+            constant = len(p.terms) == 1 and p.terms[0][0] == (j * e, 0, 0)
+            budget.spend(len(p.terms) * (j + (j < most and not constant)))
+            cj = c ** j
+            return Poly._raw(tuple([((m[0] - j * e, m[1], m[2]), a / cj)
+                                    for m, a in p.terms])), j
         j = 0
         while j < most and not p.is_constant():
             steps = _remainder_steps_mod_p(p, self.denominator)

@@ -11,15 +11,15 @@ ideal is exactly (1,), so its one row is the unit certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence
 
 from .poly import (
     MonomialOrder,
     Poly,
     StepBudget,
+    _Record,
     divide_multivariate,
     mono_coprime,
     mono_divides,
@@ -31,8 +31,7 @@ from .poly import (
 DEFAULT_MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(_Record):
     """A reduced Groebner basis whose rows are membership certificates.
 
     ``rows[i]`` certifies the i-th basis element over the generators; each
@@ -42,9 +41,13 @@ class GroebnerBasis:
     computed from the same generators compare equal.
     """
 
-    generators: tuple
-    rows: tuple
-    order: MonomialOrder
+    __slots__ = _fields = ("generators", "rows", "order")
+
+    def __init__(self, generators: tuple, rows: tuple, order: MonomialOrder):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "order", order)
+        self.__post_init__()
 
     def __post_init__(self):
         if any(row.generators != self.generators for row in self.rows):
@@ -55,17 +58,20 @@ class GroebnerBasis:
         return tuple(row.target for row in self.rows)
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(_Record):
     """Witness that target lies in the ideal of the generators.
 
     The defining identity ``target == sum(cofactors[j] * generators[j])``
     is checked exactly on construction.
     """
 
-    target: Poly
-    generators: tuple
-    cofactors: tuple
+    __slots__ = _fields = ("target", "generators", "cofactors")
+
+    def __init__(self, target: Poly, generators: tuple, cofactors: tuple):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "cofactors", cofactors)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.cofactors) != len(self.generators):
@@ -150,7 +156,9 @@ def buchberger(generators: Sequence[Poly],
     if not polys:
         return GroebnerBasis(gens, (), order)
 
-    while pairs:
+    # once a nonzero constant joins, every S-polynomial reduces to zero and
+    # the minimal basis keeps only that constant's row
+    while pairs and not polys[-1].is_constant():
         _, i, j, lcm = heappop(pairs)
         lmi, lci = lts[i]
         lmj, lcj = lts[j]
@@ -202,7 +210,7 @@ def normal_form(p: Poly, gb: GroebnerBasis, budget: StepBudget | None = None) ->
 
 def certificate_from_basis(target: Poly, gb: GroebnerBasis,
                            budget: StepBudget | None = None
-                           ) -> Optional[MembershipCertificate]:
+                           ) -> MembershipCertificate | None:
     """Membership certificate for target using a precomputed basis.
 
     Returns None when target is not in the ideal.  Cofactors are expressed
@@ -223,7 +231,7 @@ def certificate_from_basis(target: Poly, gb: GroebnerBasis,
 
 
 def unit_certificate(generators: Sequence[Poly], order: MonomialOrder,
-                     max_steps: int) -> Optional[MembershipCertificate]:
+                     max_steps: int) -> MembershipCertificate | None:
     """The certificate 1 = sum(c_j * g_j) over the generators, or None.
 
     None means the generators' ideal is proper.  The reduced basis of the

@@ -14,22 +14,22 @@ on the lift).  On a localized line tau is d/dx by the quotient rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
 
 from .curve import Curve, LocalizedElem, RingElem, _Operand
 from .errors import CurveMismatch
-from .poly import _sum_of_products, apply_derivation, partial_derivative
+from .poly import _Record, _sum_of_products, apply_derivation, partial_derivative
 
-Element = Union[RingElem, LocalizedElem]
+Element = RingElem | LocalizedElem
 
 
-@dataclass(frozen=True)
 class VField(_Operand):
     """The vector field coeff * tau."""
 
-    coeff: Element
+    __slots__ = _fields = ("coeff",)
+
+    def __init__(self, coeff: Element):
+        object.__setattr__(self, "coeff", coeff)
 
     @property
     def curve(self) -> Curve:
@@ -87,8 +87,7 @@ def bracket(u: VField, v: VField) -> VField:
     return VField(a * apply_tau(c, b) - b * apply_tau(c, a))
 
 
-@dataclass(frozen=True)
-class BracketDecomp:
+class BracketDecomp(_Record):
     """A sum-of-brackets presentation of a vector field.
 
     pairs is a tuple of (u, v) with the presented field equal to
@@ -97,14 +96,16 @@ class BracketDecomp:
     does not take part in equality.
     """
 
-    curve: Curve
-    pairs: tuple
-    trace: Optional[dict] = field(default=None, compare=False, repr=False)
+    __slots__ = ("curve", "pairs", "trace")
+    _fields = ("curve", "pairs")
 
-    def __post_init__(self):
-        for u, v in self.pairs:
-            if u.curve != self.curve or v.curve != self.curve:
+    def __init__(self, curve: Curve, pairs: tuple, trace: dict | None = None):
+        for u, v in pairs:
+            if u.curve != curve or v.curve != curve:
                 raise CurveMismatch("decomposition pair on a different curve")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def length(self) -> int:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf, lcm, log2
-from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, StepBudgetExceeded
 
@@ -39,7 +39,7 @@ _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 # A monomial is an exponent triple (e_x, e_y, e_z).
 Mono = tuple
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -83,6 +83,38 @@ class MonomialOrder(Enum):
         if self is MonomialOrder.LEX:
             return _lex_key(mono)
         return (mono[0] + mono[1] + mono[2], mono[2], mono[1], mono[0])
+
+
+class _Record:
+    """Base of the frozen value records, which spare each command line process
+    the inspect import of frozen dataclasses.  __init__ takes the __slots__ in
+    order and stores them by object.__setattr__; eq, hash and repr read _fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild the record through __init__
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
 class Poly:

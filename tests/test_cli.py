@@ -26,6 +26,21 @@ def run_cli(*args):
     return proc.returncode, doc, proc.stderr
 
 
+def test_import_loads_neither_dataclasses_nor_typing():
+    # each command is a new process, and inspect, which dataclasses imports,
+    # and typing are the largest modules the package could do without; -S
+    # keeps site from importing typing on its own
+    import bracketdec
+
+    code = ("import sys, bracketdec.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ,
+                               "PYTHONPATH": str(Path(bracketdec.__file__).parent.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 def test_check_plane_ok():
     code, doc, err = run_cli("check", "--curve", "plane y^2 - x^3 - x")
     assert code == 0 and doc["status"] == "ok"
@@ -167,6 +182,17 @@ def test_localize_budgets_pairs_of_a_zero_target():
     code, error, seconds = _localize_exit("x^120000, x^120000")
     assert (code, error) == (4, "step_budget_exceeded")
     assert seconds < 2
+
+
+def test_sparse_denominator_exits_4_at_once():
+    # a one-term f is divided out in one pass, charged one step per power of
+    # x before the quotient is built
+    out = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["decompose", "--curve", "line minus x", "--target", "1 / x^9999999999999"])
+    assert (code, json.loads(out.getvalue())["error"]["code"]) == (4, "step_budget_exceeded")
+    assert time.perf_counter() - start < 1
 
 
 def test_non_decimal_digit_is_parse_error():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 import warnings
@@ -32,8 +34,8 @@ from bracketdec.errors import (
     ZeroTau,
 )
 from bracketdec.decompose import localize_decomp, single_bracket_line, two_bracket_plane
-from bracketdec.groebner import buchberger
-from bracketdec.liealg import VField
+from bracketdec.groebner import MembershipCertificate, buchberger
+from bracketdec.liealg import BracketDecomp, VField
 from bracketdec.poly import (
     MonomialOrder,
     Poly,
@@ -322,6 +324,50 @@ def test_localized_elem_normalization():
     assert again == e and hash(again) == hash(e)
 
 
+def _line_pair():
+    line = AffineLine()
+    return line, ((VField(line.one()), VField(line.reduce(parse_poly("1/2 x^2")))),)
+
+
+# (fields, maker): each maker builds its record from new objects, and a
+# BracketDecomp takes the given trace
+_RECORDS = {
+    "RingElem": (("curve", "poly"),
+                 lambda trace: AffineLine().reduce(parse_poly("x + 1"))),
+    "LocalizedElem": (("curve", "numerator", "exponent"),
+                      lambda trace: LocalizedLine(parse_poly("x")).elem(parse_poly("x + 1"), 2)),
+    "VField": (("coeff",), lambda trace: VField(
+        PlaneCurve(parse_poly("y^2 - x^3 - x")).reduce(parse_poly("y^3")))),
+    "BracketDecomp": (("curve", "pairs", "trace"),
+                      lambda trace: BracketDecomp(*_line_pair(), trace)),
+    "GroebnerBasis": (("generators", "rows", "order"),
+                      lambda trace: buchberger([parse_poly("x^2 + y"), parse_poly("x*y + x")])),
+    "MembershipCertificate": (("target", "generators", "cofactors"),
+                              lambda trace: MembershipCertificate(
+                                  parse_poly("x^2 - 1"), (parse_poly("x - 1"),),
+                                  (parse_poly("x + 1"),))),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_records_compare_by_fields_and_are_frozen(name):
+    fields, make = _RECORDS[name]
+    a, b = make(None), make({"method": "line"})
+    assert type(a).__name__ == name
+    # equal fields give equal records and hashes; trace takes no part
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and "trace" not in repr(a)
+    others = [other_make(None) for other, (_, other_make) in _RECORDS.items() if other != name]
+    assert all(a != c for c in others) and a != tuple(getattr(a, f) for f in fields)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(b, f))
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    for c in (copy.copy(b), pickle.loads(pickle.dumps(b))):
+        assert c == b and all(getattr(c, f) == getattr(b, f) for f in fields)
+
+
 def test_localized_linear_operations_do_not_divide(monkeypatch):
     # negation and scalar multiples keep lowest terms, so they build the
     # record without a trial division by f
@@ -500,11 +546,16 @@ _coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 # a factor of degree 1 or 2 with a nonzero leading coefficient
 _factors = st.tuples(st.lists(_coeffs, min_size=1, max_size=2),
                      _coeffs.filter(bool)).map(lambda t: _upoly(t[0] + [t[1]]))
-# lc * prod factor^multiplicity: non-monic, rational and repeated-root f
-_denominators = st.tuples(
-    _coeffs.filter(bool),
-    st.lists(st.tuples(_factors, st.integers(1, 3)), min_size=1, max_size=2),
-).map(lambda t: prod((g ** m for g, m in t[1]), start=Poly.constant(t[0])))
+# lc * prod factor^multiplicity: non-monic, rational and repeated-root f;
+# and one-term f = c x^e, which is divided out in one pass
+_denominators = st.one_of(
+    st.tuples(
+        _coeffs.filter(bool),
+        st.lists(st.tuples(_factors, st.integers(1, 3)), min_size=1, max_size=2),
+    ).map(lambda t: prod((g ** m for g, m in t[1]), start=Poly.constant(t[0]))),
+    st.tuples(_coeffs.filter(bool), st.integers(1, 3)).map(
+        lambda t: Poly.monomial((t[1], 0, 0), t[0])),
+)
 
 
 @st.composite
