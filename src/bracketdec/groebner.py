@@ -156,9 +156,7 @@ def buchberger(generators: Sequence[Poly],
     if not polys:
         return GroebnerBasis(gens, (), order)
 
-    # once a nonzero constant joins, every S-polynomial reduces to zero and
-    # the minimal basis keeps only that constant's row
-    while pairs and not polys[-1].is_constant():
+    while pairs:
         _, i, j, lcm = heappop(pairs)
         lmi, lci = lts[i]
         lmj, lcj = lts[j]
