@@ -37,6 +37,7 @@ from .errors import (
 from .groebner import (
     DEFAULT_MAX_STEPS,
     MembershipCertificate,
+    _normal_form_of_products,
     buchberger,
     normal_form,
     unit_certificate,
@@ -48,6 +49,7 @@ from .poly import (
     _parse_quotient,
     _Record,
     _remainder_steps_mod_p,
+    _sum_of_products,
     apply_derivation,
     divide_multivariate,
     format_number,
@@ -74,6 +76,12 @@ class Curve:
             raise BadVariables(f"elements of the {self._noun} must use only "
                                + " and ".join(self.variables))
         return p
+
+    def _reduce_products(self, pairs) -> RingElem:
+        """The element sum(a * b for a, b in pairs) of polynomials already in
+        the ring, reduced modulo the curve's basis from one kernel call."""
+        return RingElem(self, _normal_form_of_products(pairs, self.gb,
+                                                       StepBudget(self.max_steps)))
 
     def zero(self):
         return self.reduce(Poly.zero())
@@ -134,7 +142,7 @@ class RingElem(_Operand):
         if isinstance(other, (int, Fraction)):
             return RingElem(self.curve, self.poly * other)
         other = self._check(other)
-        return self.curve.reduce(self.poly * other.poly)
+        return self.curve._reduce_products(((self.poly, other.poly),))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -208,6 +216,9 @@ class AffineLine(Curve):
 
     def reduce(self, p: Poly) -> RingElem:
         return RingElem(self, self._member(p))
+
+    def _reduce_products(self, pairs) -> RingElem:
+        return RingElem(self, _sum_of_products(pairs))
 
     def describe(self) -> dict:
         return {"variant": "line"}
@@ -435,7 +446,8 @@ def parse_curve(text: str, *,
     if s.startswith("line minus "):
         line = LocalizedLine(parse_poly(s[len("line minus "):]), max_steps=max_steps)
         f = line.denominator
-        if not gcd_univariate(f, partial_derivative(f, "x")).is_constant():
+        if not gcd_univariate(f, partial_derivative(f, "x"),
+                              StepBudget(max_steps)).is_constant():
             warnings.warn(
                 "localization denominator has a repeated root; "
                 "its squarefree part defines the same ring",

@@ -31,7 +31,7 @@ from .curve import (
 )
 from .errors import CertificateFailure, CurveMismatch
 from .liealg import BracketDecomp, VField, bracket, recombine
-from .poly import Poly, antiderivative, partial_derivative
+from .poly import Poly, _sum_of_products, antiderivative, partial_derivative
 
 _HALF = Fraction(1, 2)
 
@@ -91,8 +91,8 @@ def _construct(curve, target, poly: Poly, elem, info) -> BracketDecomp:
     # (variable, its bracket partner): (y, g) on plane curves, (y, g), (z, h) in space
     extra = tuple(zip((Poly.variable(v) for v in coords), partners))
     f = r
-    for var, partner in extra:
-        f = f - var * partner
+    if extra:
+        f = _sum_of_products(((r, Poly.one()), *((-var, g) for var, g in extra)))
     if info is not None:
         info.update({"membership_generators": [str(p) for p in unit.generators],
                      "membership_cofactors": [str(c) for c in cofs],

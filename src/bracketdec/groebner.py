@@ -7,6 +7,11 @@ Each row of a basis is a MembershipCertificate: a checkable identity
 when Buchberger's final step builds it.  Ideal membership comes back the
 same way instead of as a bare yes/no, and the reduced basis of the unit
 ideal is exactly (1,), so its one row is the unit certificate.
+
+Normal forms need no quotients, so they run the division loop without
+recording any, and a normal form of a sum of products, as brackets and
+ring products take it, starts from the product kernel's integer
+numerators instead of a Poly.
 """
 
 from __future__ import annotations
@@ -20,12 +25,17 @@ from .poly import (
     Poly,
     StepBudget,
     _Record,
+    _divide,
+    _dividend,
+    _division_heads,
+    _poly_over,
+    _products,
+    _sum_of_products,
     divide_multivariate,
     mono_coprime,
     mono_divides,
     mono_lcm,
     mono_div,
-    _sum_of_products,
 )
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -199,11 +209,32 @@ def buchberger(generators: Sequence[Poly],
 
 
 def normal_form(p: Poly, gb: GroebnerBasis, budget: StepBudget | None = None) -> Poly:
-    """Remainder of p modulo the basis; the canonical coset representative."""
+    """Remainder of p modulo the basis; the canonical coset representative.
+
+    The division builds no quotients.
+    """
     if not gb.rows:
         return p
-    _, rem = divide_multivariate(p, list(gb.basis), gb.order, budget)
-    return rem
+    integral, heads = _division_heads(gb.basis, gb.order)
+    den, acc = _dividend(p, integral)
+    return _poly_over(_divide(acc, heads, gb.order, budget, None), den)
+
+
+def _normal_form_of_products(pairs, gb: GroebnerBasis, budget: StepBudget | None) -> Poly:
+    """normal_form(_sum_of_products(pairs), gb, budget), reduced straight from
+    the kernel's integer numerators.
+
+    Over a monic basis with integer coefficients no Fraction is built
+    before the remainder; other bases get the Fractions the kernel would
+    have built.  Steps and result are those of the unfused call.
+    """
+    if not gb.rows:
+        return _sum_of_products(pairs)
+    integral, heads = _division_heads(gb.basis, gb.order)
+    den, acc = _products(pairs)
+    if not integral:
+        den, acc = None, {m: Fraction(n, den) for m, n in acc.items() if n}
+    return _poly_over(_divide(acc, heads, gb.order, budget, None), den)
 
 
 def certificate_from_basis(target: Poly, gb: GroebnerBasis,

@@ -18,7 +18,13 @@ from fractions import Fraction
 
 from .curve import Curve, LocalizedElem, RingElem, _Operand
 from .errors import CurveMismatch
-from .poly import _Record, _sum_of_products, apply_derivation, partial_derivative
+from .poly import (
+    _derivation_pairs,
+    _Record,
+    _sum_of_products,
+    apply_derivation,
+    partial_derivative,
+)
 
 Element = RingElem | LocalizedElem
 
@@ -66,15 +72,16 @@ def apply_tau(curve: Curve, elem: Element) -> Element:
         num = _sum_of_products(((partial_derivative(n, "x"), f),
                                 (n, partial_derivative(f, "x") * -m)))
         return curve.elem(num, m + 1)
-    return curve.reduce(apply_derivation(curve.tau_components, elem.poly))
+    return curve._reduce_products(_derivation_pairs(curve.tau_components, elem.poly))
 
 
 def bracket(u: VField, v: VField) -> VField:
     """[u, v] = (a tau(b) - b tau(a)) tau for u = a tau, v = b tau.
 
     For polynomial-ring elements (line, plane and space curves) the
-    coefficient is computed on the lifts and reduced once: normal forms are
-    linear and unique, so this equals the product of the reduced factors.
+    coefficient is computed on the lifts and reduced once, from one kernel
+    call: normal forms are linear and unique, so this equals the product of
+    the reduced factors.
     """
     if u.curve != v.curve:
         raise CurveMismatch("vector fields live on different curves")
@@ -82,8 +89,8 @@ def bracket(u: VField, v: VField) -> VField:
     a, b = u.coeff, v.coeff
     if isinstance(a, RingElem):
         comps = c.tau_components
-        return VField(c.reduce(_sum_of_products(((a.poly, apply_derivation(comps, b.poly)),
-                                                 (-b.poly, apply_derivation(comps, a.poly))))))
+        return VField(c._reduce_products(((a.poly, apply_derivation(comps, b.poly)),
+                                          (-b.poly, apply_derivation(comps, a.poly)))))
     return VField(a * apply_tau(c, b) - b * apply_tau(c, a))
 
 

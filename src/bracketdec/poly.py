@@ -11,9 +11,12 @@ numerators over a common denominator and builds one Fraction per output
 term, so the gcd that Fraction arithmetic pays on every operation is paid
 once per term.  Division by monic divisors with integer coefficients, the
 usual curve basis or localization denominator, runs on integer numerators
-too; other divisors keep Fraction arithmetic.  Derivatives and
-antiderivatives shift one exponent, which keeps the canonical term order,
-so they build their terms without re-sorting.
+too; other divisors keep Fraction arithmetic.  The kernel's integer sums
+and the division loop are also private entry points, so a sum of products
+can be reduced modulo a basis without building its Fractions, and a
+remainder without building quotients (groebner.normal_form).  Derivatives
+and antiderivatives shift one exponent, which keeps the canonical term
+order, so they build their terms without re-sorting.
 
 Both monomial orders compare the z exponent first and the x exponent last.
 Reduction modulo a curve ideal therefore eliminates z and y before x, and
@@ -201,9 +204,22 @@ class Poly:
         raise ValueError(f"{self} is not constant")
 
     def uses_only(self, names: Sequence[str]) -> bool:
-        allowed = {_VAR_INDEX[n] for n in names}
-        banned = [i for i in range(3) if i not in allowed]
-        return all(all(m[i] == 0 for i in banned) for m, _ in self.terms)
+        """True when no term has a positive exponent of a variable outside names.
+
+        Only those exponents are read.  The terms are sorted z exponent
+        first, then y, so the first term has the largest z exponent and,
+        when no term has z, the largest y exponent: for the rings of x and
+        of x and y, the first term decides.
+        """
+        if not self.terms:
+            return True
+        lead = self.terms[0][0]
+        if "z" not in names and lead[2]:
+            return False
+        if "y" not in names and (any(m[1] for m, _ in self.terms) if "z" in names
+                                 else lead[1]):
+            return False
+        return "x" in names or not any(m[0] for m, _ in self.terms)
 
     def coefficient(self, mono: Mono) -> Fraction:
         for m, c in self.terms:
@@ -317,14 +333,13 @@ _ZERO = Poly._raw(())
 _ONE = Poly._raw((((0, 0, 0), Fraction(1)),))
 
 
-def _sum_of_products(pairs: Iterable) -> Poly:
-    """sum(a * b for a, b in pairs), exactly, with one Fraction per output term.
+def _products(pairs: Iterable) -> tuple:
+    """(d, acc): sum(a * b for a, b in pairs) is sum(acc[m] / d * m), exactly.
 
     Every coefficient of an a is scaled to an integer numerator over da, the
-    lcm of the denominators of all the a's, and likewise every b over db.
-    The numerator products are summed as plain ints, and each nonzero sum
-    becomes Fraction(n, da * db) once at the end, so only the output terms
-    pay for a gcd, not every coefficient product.
+    lcm of the denominators of all the a's, and likewise every b over db, so
+    d = da * db.  The numerator products are summed as plain ints into the
+    {monomial: numerator} dict acc, which may keep zeros where terms cancel.
     """
     pairs = [(a.terms, b.terms) for a, b in pairs if a.terms and b.terms]
     # sets: lcm gets the few distinct denominators, not an argument tuple
@@ -341,7 +356,17 @@ def _sum_of_products(pairs: Iterable) -> Poly:
             for (b0, b1, b2), cb in b:
                 m = (a0 + b0, a1 + b1, a2 + b2)
                 acc[m] = get(m, 0) + ca * cb
-    d = da * db
+    return da * db, acc
+
+
+def _sum_of_products(pairs: Iterable) -> Poly:
+    """sum(a * b for a, b in pairs), exactly, with one Fraction per output term.
+
+    The products are summed on integer numerators by _products, and each
+    nonzero sum becomes Fraction(n, d) once at the end, so only the output
+    terms pay for a gcd, not every coefficient product.
+    """
+    d, acc = _products(pairs)
     terms = [(m, Fraction(n, d)) for m, n in acc.items() if n]
     terms.sort(key=lambda t: _lex_key(t[0]), reverse=True)
     return Poly._raw(tuple(terms))
@@ -424,8 +449,13 @@ def apply_derivation(components: Sequence[Poly], p: Poly) -> Poly:
 
     Two components are read as (x, y) with a zero z component.
     """
-    return _sum_of_products((comp, partial_derivative(p, var))
-                            for comp, var in zip(components, VARIABLES) if comp.terms)
+    return _sum_of_products(_derivation_pairs(components, p))
+
+
+def _derivation_pairs(components: Sequence[Poly], p: Poly) -> list:
+    """The (component, partial derivative) products apply_derivation sums."""
+    return [(comp, partial_derivative(p, var))
+            for comp, var in zip(components, VARIABLES) if comp.terms]
 
 
 # -- division ---------------------------------------------------------------
@@ -461,44 +491,40 @@ def _monic_integral(heads) -> bool:
                for (_, lc), terms in heads)
 
 
-def divide_multivariate(p: Poly, divisors: Sequence[Poly],
-                        order: MonomialOrder = MonomialOrder.LEX,
-                        budget: StepBudget | None = None):
-    """Divide p by an ordered list of nonzero divisors.
+def _division_heads(divisors: Sequence[Poly], order: MonomialOrder) -> tuple:
+    """(integral, heads) of nonzero divisors, prepared for _divide.
 
-    Returns (quotients, remainder) with p equal to
-    sum(quotients[i] * divisors[i]) + remainder and no remainder term
-    divisible by any divisor's leading monomial.  Each step reduces by the
-    earliest-listed divisor whose leading monomial divides the current
-    leading term, so the result is deterministic in the divisor order.
-    Every leading term processed spends one step of budget.
-
-    The dividend is kept as a {monomial: coefficient} dict with a heap of
-    its monomials (heap division, Monagan & Pearce 2007), so a step costs
-    the divisor's tail, not a re-sort of the whole dividend.  When every
-    divisor is monic with integer coefficients (curve bases, localization
-    denominators), the loop runs on integer numerators over the dividend's
-    common denominator, since no step then divides, and each output term
-    becomes one Fraction at the end; other divisors keep Fraction
-    coefficients throughout.  Both give the same steps and results.
+    heads holds one (leading monomial, leading coefficient, tail) per
+    divisor.  integral is True when every divisor is monic with integer
+    coefficients; the tails then hold integer numerators.
     """
-    divisors = list(divisors)
-    if not divisors:
-        raise ValueError("divisors must be nonempty")
-    if any(d.is_zero() for d in divisors):
-        raise ValueError("cannot divide by the zero polynomial")
-    heap_key = _lex_heap_key if order is MonomialOrder.LEX else _grlex_heap_key
     heads = [(d.leading_term(order), d.terms) for d in divisors]
-    integral = _monic_integral(heads)
-    if integral:
-        den = lcm(*{c.denominator for _, c in p.terms})
-        acc = {m: c.numerator * (den // c.denominator) for m, c in p.terms}
-        heads = [(dm, 1, [(m, c.numerator) for m, c in terms if m != dm])
-                 for (dm, _), terms in heads]
-    else:
-        acc = dict(p.terms)
-        heads = [(dm, dc, [t for t in terms if t[0] != dm]) for (dm, dc), terms in heads]
-    quotients: list[dict] = [{} for _ in divisors]
+    if _monic_integral(heads):
+        return True, [(dm, 1, [(m, c.numerator) for m, c in terms if m != dm])
+                      for (dm, _), terms in heads]
+    return False, [(dm, dc, [t for t in terms if t[0] != dm]) for (dm, dc), terms in heads]
+
+
+def _dividend(p: Poly, integral: bool) -> tuple:
+    """(den, acc) of p for _divide: integer numerators over the lcm den of its
+    denominators when integral, otherwise den None and p's Fractions."""
+    if not integral:
+        return None, dict(p.terms)
+    den = lcm(*{c.denominator for _, c in p.terms})
+    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms}
+
+
+def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | None,
+            quotients: list | None) -> dict:
+    """The heap division loop of divide_multivariate; it consumes acc.
+
+    acc is the dividend as {monomial: coefficient}, integer numerators over
+    a common denominator when the heads are integral, since no step then
+    divides, and Fractions otherwise; zero entries are skipped and spend no
+    step.  Returns the remainder dict.  quotients, unless None, receives
+    one {monomial: coefficient} dict per divisor.
+    """
+    heap_key = _lex_heap_key if order is MonomialOrder.LEX else _grlex_heap_key
     rem: dict = {}
     # the budget counts down in a local, written back when the loop ends
     left = inf if budget is None else budget.remaining
@@ -520,8 +546,9 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
                 qm = mono_div(lm, dm)
                 # dc is 1 throughout the integer loop, which never divides
                 qc = lc if dc == 1 else lc / dc
-                # leading monomials only fall, so qm is new to this quotient
-                quotients[i][qm] = qc
+                if quotients is not None:
+                    # leading monomials only fall, so qm is new to this quotient
+                    quotients[i][qm] = qc
                 q0, q1, q2 = qm
                 for (t0, t1, t2), tc in tail:
                     m = (q0 + t0, q1 + t1, q2 + t2)
@@ -537,10 +564,48 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
             rem[lm] = lc
     if budget is not None:
         budget.remaining = left
-    if integral:
-        quotients = [{m: Fraction(n, den) for m, n in q.items()} for q in quotients]
-        rem = {m: Fraction(n, den) for m, n in rem.items()}
-    return [Poly._from_dict(q) for q in quotients], Poly._from_dict(rem)
+    return rem
+
+
+def _poly_over(acc: dict, den: int | None) -> Poly:
+    """The Poly of a dict from _divide: coefficients n / den, or the Fractions
+    themselves when den is None."""
+    if den is None:
+        return Poly._from_dict(acc)
+    return Poly._from_dict({m: Fraction(n, den) for m, n in acc.items()})
+
+
+def divide_multivariate(p: Poly, divisors: Sequence[Poly],
+                        order: MonomialOrder = MonomialOrder.LEX,
+                        budget: StepBudget | None = None):
+    """Divide p by an ordered list of nonzero divisors.
+
+    Returns (quotients, remainder) with p equal to
+    sum(quotients[i] * divisors[i]) + remainder and no remainder term
+    divisible by any divisor's leading monomial.  Each step reduces by the
+    earliest-listed divisor whose leading monomial divides the current
+    leading term, so the result is deterministic in the divisor order.
+    Every leading term processed spends one step of budget.
+
+    The dividend is kept as a {monomial: coefficient} dict with a heap of
+    its monomials (heap division, Monagan & Pearce 2007), so a step costs
+    the divisor's tail, not a re-sort of the whole dividend.  When every
+    divisor is monic with integer coefficients (curve bases, localization
+    denominators), the loop runs on integer numerators over the dividend's
+    common denominator, and each output term becomes one Fraction at the
+    end; other divisors keep Fraction coefficients throughout.  Both give
+    the same steps and results.
+    """
+    divisors = list(divisors)
+    if not divisors:
+        raise ValueError("divisors must be nonempty")
+    if any(d.is_zero() for d in divisors):
+        raise ValueError("cannot divide by the zero polynomial")
+    integral, heads = _division_heads(divisors, order)
+    den, acc = _dividend(p, integral)
+    quotients: list[dict] = [{} for _ in divisors]
+    rem = _divide(acc, heads, order, budget, quotients)
+    return [_poly_over(q, den) for q in quotients], _poly_over(rem, den)
 
 
 # -- division modulo a prime --------------------------------------------------
@@ -624,7 +689,7 @@ def _remainder_steps_mod_p(p: Poly, f: Poly):
     return nq + sum(1 for c in rem if c) if rem else None
 
 
-def gcd_univariate(p: Poly, q: Poly) -> Poly:
+def gcd_univariate(p: Poly, q: Poly, budget: StepBudget | None = None) -> Poly:
     """Monic gcd of two polynomials in x.
 
     Nonzero p and q are first checked modulo P.  When P divides no
@@ -633,7 +698,8 @@ def gcd_univariate(p: Poly, q: Poly) -> Poly:
     not: any common factor of p and q over Q, made primitive in Z[x],
     divides the primitive part of p in Z[x] (Gauss's lemma), so P does not
     divide its leading coefficient, and its image keeps its degree and
-    divides both images.
+    divides both images.  Each division of Euclid over Q spends its steps
+    of budget.
     """
     for item in (p, q):
         if not item.uses_only(("x",)):
@@ -652,7 +718,7 @@ def gcd_univariate(p: Poly, q: Poly) -> Poly:
         # Euclid over Q on monic remainders; unscaled, the coefficient sizes
         # grow exponentially along the remainder sequence
         b = b * (1 / b.leading_term()[1])
-        a, b = b, divide_multivariate(a, [b])[1]
+        a, b = b, divide_multivariate(a, [b], budget=budget)[1]
     if a.is_zero():
         return a
     return a * (1 / a.leading_term()[1])

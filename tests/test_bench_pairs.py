@@ -52,6 +52,25 @@ def test_summary_of_canned_runs():
     assert s["digests_equal_per_pair"] and s["all_correct"]
 
 
+def test_summary_reads_memory_against_timed_ops():
+    # both sides keep 0.7 MB per 1,000 timed ops; the change runs twice the
+    # parent's median timed ops, which alone predicts 1.4 MB of its 1.5 MB rise
+    runs = []
+    for seed, (p_ops, c_ops) in enumerate([(1000, 3000), (2000, 4000), (3000, 5000)], 1):
+        runs.append(_run("parent", seed, 100, 8.0, 29.3 + 0.7 * p_ops / 1000, timed_ops=p_ops))
+        runs.append(_run("change", seed, 200, 4.0, 29.4 + 0.7 * c_ops / 1000, timed_ops=c_ops))
+    s = bench_pairs.summarize_workload(runs, END_TO_END)["peak_rss_mb_against_timed_ops"]
+    assert s["parent"]["mb_per_1k_timed_ops"] == pytest.approx(0.7)
+    assert s["change"]["mb_per_1k_timed_ops"] == pytest.approx(0.7)
+    assert s["predicted_change_mb"] == pytest.approx(1.4)
+    assert s["predicted_change"] == pytest.approx(1.4 / 30.7)
+    assert s["observed_change"] == pytest.approx(1.5 / 30.7)
+    # one timed-ops count per side fits no slope, and predicts nothing
+    s = bench_pairs.summarize_workload(runs[:2], END_TO_END)["peak_rss_mb_against_timed_ops"]
+    assert s == {"parent": {"mb_per_1k_timed_ops": None},
+                 "change": {"mb_per_1k_timed_ops": None}}
+
+
 def test_summary_flags_digest_and_failures():
     runs = [_run("parent", 1, 100, 8.0, 30.0), _run("change", 1, 60, 8.0, 30.0, digest="e"),
             _run("parent", 2, 100, 8.0, 30.0), _run("change", 2, 100, 8.0, 30.0, correct=False)]

@@ -160,6 +160,21 @@ def test_repeated_root_check_of_long_denominator_finishes():
     assert proc.returncode == 0 and json.loads(proc.stdout)["curve"]["variant"] == "line_minus"
 
 
+def test_repeated_root_euclid_is_bounded_exits_4():
+    # a repeated root defeats the check modulo P, and Euclid over Q on this
+    # f took 12.5 s; its divisions now spend the step budget
+    rng = random.Random(1)
+    f = " + ".join(f"{rng.randint(1, 9)} x^{i}" for i in range(299))
+    start = time.perf_counter()
+    proc = subprocess.run(_BASE + ["check", "--curve", f"line minus ({f}) (x - 1)^2",
+                                   "--max-steps", "10"],
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 2
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
+    assert "Traceback" not in proc.stderr
+
+
 def _localize_exit(pairs: str):
     """(exit code, error code, seconds) of localize on line minus x with k = 120000."""
     out = io.StringIO()

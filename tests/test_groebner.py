@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracketdec.curve import PlaneCurve, SpaceCurve, parse_curve
 from bracketdec.errors import (
@@ -15,6 +18,7 @@ from bracketdec.groebner import (
     DEFAULT_MAX_STEPS,
     GroebnerBasis,
     MembershipCertificate,
+    _normal_form_of_products,
     buchberger,
     certificate_from_basis,
     normal_form,
@@ -24,6 +28,8 @@ from bracketdec.poly import (
     MonomialOrder,
     Poly,
     StepBudget,
+    _division_heads,
+    _sum_of_products,
     divide_multivariate,
     mono_coprime,
     mono_div,
@@ -507,3 +513,62 @@ def test_normal_form_idempotent_and_linear(rand_poly):
         assert normal_form(np_, gb) == np_
         assert normal_form(p + q, gb) == np_ + nq
         assert normal_form(p * q, gb) == normal_form(np_ * nq, gb)
+
+
+# -- fused normal forms of sums of products --------------------------------------
+
+@functools.cache
+def _fused_basis(name):
+    """The bases the fused normal form is checked on: monic integer bases
+    under LEX and GRLEX, and one whose monic basis has Fraction coefficients."""
+    if name == "twisted cubic":
+        return SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
+                          [parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")]).gb
+    equation, order = {"lex plane": ("y^2 - x^3 - x", LEX),
+                       "grlex plane": ("x^4 + y^4 - 1", GRLEX),
+                       "fraction plane": ("2y^2 - x^3 - x", LEX)}[name]
+    return PlaneCurve(parse_poly(equation), order=order).gb
+
+
+_FUSED_NAMES = ("twisted cubic", "lex plane", "grlex plane", "fraction plane")
+
+
+def test_fused_bases_take_both_division_loops():
+    integral = [_division_heads(_fused_basis(name).basis, _fused_basis(name).order)[0]
+                for name in _FUSED_NAMES]
+    assert integral == [True, True, True, False]
+
+
+_coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def _product_pairs(variables):
+    exps = st.tuples(*(st.integers(0, 4) if v in variables else st.just(0) for v in "xyz"))
+    poly = st.lists(st.tuples(exps, _coefficients), max_size=5).map(Poly)
+    return st.lists(st.tuples(poly, poly), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(_FUSED_NAMES))
+def test_fused_normal_form_matches_unfused(data, name):
+    gb = _fused_basis(name)
+    pairs = data.draw(_product_pairs("xyz" if name == "twisted cubic" else "xy"))
+    if pairs and data.draw(st.booleans()):
+        # cancel the first product, as a bracket's two products partly do:
+        # the kernel's zero sums must spend no step
+        pairs.append((pairs[0][1], -pairs[0][0]))
+    p = _sum_of_products(pairs)
+    budgets = [StepBudget(10**6) for _ in range(3)]
+    fused = _normal_form_of_products(pairs, gb, budgets[0])
+    assert fused.terms == normal_form(p, gb, budgets[1]).terms
+    # the public division still builds the quotients Buchberger's rows read
+    quotients, rem = divide_multivariate(p, list(gb.basis), gb.order, budgets[2])
+    assert fused.terms == rem.terms
+    assert _sum_of_products(zip(quotients, gb.basis)) + rem == p
+    assert len({b.remaining for b in budgets}) == 1
+    steps = 10**6 - budgets[0].remaining
+    if steps:
+        with pytest.raises(StepBudgetExceeded):
+            _normal_form_of_products(pairs, gb, StepBudget(steps - 1))
+        with pytest.raises(StepBudgetExceeded):
+            normal_form(p, gb, StepBudget(steps - 1))

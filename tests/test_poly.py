@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -328,6 +329,20 @@ def test_degrees_and_variables():
     p = parse_poly("x^2*y + z")
     assert p.uses_only(("x", "y", "z"))
     assert not p.uses_only(("x", "y"))
+
+
+def test_uses_only_matches_a_scan_of_every_term():
+    # the first term decides for the rings of x and of x and y; every set of
+    # up to three of the monomials x^a y^b z^c, a, b, c <= 1, and every set
+    # of names agree with reading each exponent outside the names
+    monos = list(itertools.product((0, 1), repeat=3))
+    for size in range(4):
+        for chosen in itertools.combinations(monos, size):
+            p = Poly((m, 1) for m in chosen)
+            for k in range(4):
+                for names in itertools.combinations("xyz", k):
+                    outside = [i for i, v in enumerate("xyz") if v not in names]
+                    assert p.uses_only(names) == all(not m[i] for m in chosen for i in outside)
 
 
 # -- calculus -----------------------------------------------------------------

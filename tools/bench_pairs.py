@@ -23,7 +23,12 @@ per side, the change's median relative to the parent's and whether that is
 worse than the metric's bound; then ops_per_s pair wins, whether the
 median gap exceeds the parent's interquartile range, timed_ops per side,
 whether every pair's output digests are equal and whether every run was
-correct.  Traced runs are summarized as each per-layer metric per side.
+correct.  Next to those, peak_rss_mb is read against timed_ops: each
+side's least-squares MB per 1,000 timed ops, and the peak_rss_mb change
+that the change in median timed_ops alone predicts at the parent's slope,
+beside the observed change, so memory the harness keeps per timed op is
+told apart from memory the package uses.  Traced runs are summarized as
+each per-layer metric per side.
 """
 
 from __future__ import annotations
@@ -101,6 +106,28 @@ def _value(run: dict, metric: str):
     return None if entry is None else entry["value"]
 
 
+def rss_against_timed_ops(sides: dict) -> dict:
+    """peak_rss_mb against timed_ops for the runs of each side; see the module docstring."""
+    points = {s: [(r["record"]["timed_ops"] / 1000, v) for r in rs
+                  if r.get("record") and (v := _value(r, "peak_rss_mb")) is not None]
+              for s, rs in sides.items()}
+    out: dict = {}
+    for s, pts in points.items():
+        xs = [x for x, _ in pts]
+        fit = (statistics.linear_regression(xs, [y for _, y in pts]).slope
+               if len(set(xs)) > 1 else None)
+        out[s] = {"mb_per_1k_timed_ops": fit}
+    slope = out["parent"]["mb_per_1k_timed_ops"]
+    if slope is not None and points["change"]:
+        ops, rss = ({s: statistics.median(p[k] for p in pts) for s, pts in points.items()}
+                    for k in (0, 1))
+        predicted = slope * (ops["change"] - ops["parent"])
+        out["predicted_change_mb"] = predicted
+        out["predicted_change"] = predicted / rss["parent"]
+        out["observed_change"] = (rss["change"] - rss["parent"]) / rss["parent"]
+    return out
+
+
 def summarize_workload(runs: list, end_to_end: list) -> dict:
     """Summary of one workload's --trace 0 runs; see the module docstring."""
     sides = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
@@ -134,6 +161,7 @@ def summarize_workload(runs: list, end_to_end: list) -> dict:
     out["timed_ops"] = {s: quartiles([r["record"]["timed_ops"] for r in rs])
                         for s, rs in sides.items()
                         if rs and all(r.get("record") for r in rs)}
+    out["peak_rss_mb_against_timed_ops"] = rss_against_timed_ops(sides)
     out["digests_equal_per_pair"] = all(
         (p["parent"].get("record") or {}).get("digest") is not None
         and p["parent"]["record"]["digest"] == (p["change"].get("record") or {}).get("digest")

@@ -88,6 +88,9 @@ ERROR_CASES = [
      "--target", "x / (2305843009213693951 x^2 - 1)^2"],
     ["check", "--curve", "line minus " + " + ".join(                # dense degree 120
         f"{rng.randint(1, 9)} x^{i}" for rng in [random.Random(1)] for i in range(121))],
+    ["check", "--curve", "line minus (" + " + ".join(              # a repeated root: Euclid
+        f"{rng.randint(1, 9)} x^{i}" for rng in [random.Random(1)] for i in range(299))
+     + ") (x - 1)^2", "--max-steps", "10"],                         # over Q spends the budget
     # a one-term f, divided out in one pass
     ["decompose", "--curve", "line minus x", "--target", "1 / x^9999999999999"],  # budget
     ["decompose", "--curve", "line minus 2x", "--target", "1 / x^50"],
