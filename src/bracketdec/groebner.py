@@ -8,10 +8,10 @@ when Buchberger's final step builds it.  Ideal membership comes back the
 same way instead of as a bare yes/no, and the reduced basis of the unit
 ideal is exactly (1,), so its one row is the unit certificate.
 
-Normal forms need no quotients, so they run the division loop without
-recording any, and a normal form of a sum of products, as brackets and
-ring products take it, starts from the product kernel's integer
-numerators instead of a Poly.
+Normal forms need no quotients, so they take poly's remainder-only
+division, and a normal form of a sum of products, as brackets and ring
+products take it, starts from the product kernel's integer numerators
+instead of a Poly.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from .poly import (
     Poly,
     StepBudget,
     _Record,
-    _divide,
     _dividend,
-    _division_heads,
-    _poly_over,
     _products,
+    _remainder,
     _sum_of_products,
     divide_multivariate,
     mono_coprime,
@@ -215,26 +213,17 @@ def normal_form(p: Poly, gb: GroebnerBasis, budget: StepBudget | None = None) ->
     """
     if not gb.rows:
         return p
-    integral, heads = _division_heads(gb.basis, gb.order)
-    den, acc = _dividend(p, integral)
-    return _poly_over(_divide(acc, heads, gb.order, budget, None), den)
+    return _remainder(*_dividend(p), gb.basis, gb.order, budget)
 
 
 def _normal_form_of_products(pairs, gb: GroebnerBasis, budget: StepBudget | None) -> Poly:
     """normal_form(_sum_of_products(pairs), gb, budget), reduced straight from
-    the kernel's integer numerators.
-
-    Over a monic basis with integer coefficients no Fraction is built
-    before the remainder; other bases get the Fractions the kernel would
-    have built.  Steps and result are those of the unfused call.
+    the kernel's integer numerators, which the division keeps as they are
+    over any basis.  Steps and result are those of the unfused call.
     """
     if not gb.rows:
         return _sum_of_products(pairs)
-    integral, heads = _division_heads(gb.basis, gb.order)
-    den, acc = _products(pairs)
-    if not integral:
-        den, acc = None, {m: Fraction(n, den) for m, n in acc.items() if n}
-    return _poly_over(_divide(acc, heads, gb.order, budget, None), den)
+    return _remainder(*_products(pairs), gb.basis, gb.order, budget)
 
 
 def certificate_from_basis(target: Poly, gb: GroebnerBasis,

@@ -9,12 +9,11 @@ Products, and sums of products such as S-polynomials, cofactor rows and
 certificate identities, go through one kernel that multiplies integer
 numerators over a common denominator and builds one Fraction per output
 term, so the gcd that Fraction arithmetic pays on every operation is paid
-once per term.  Division by monic divisors with integer coefficients, the
-usual curve basis or localization denominator, runs on integer numerators
-too; other divisors keep Fraction arithmetic.  The kernel's integer sums
-and the division loop are also private entry points, so a sum of products
-can be reduced modulo a basis without building its Fractions, and a
-remainder without building quotients (groebner.normal_form).  Derivatives
+once per term.  Division keeps that representation: each value is an
+integer numerator over the dividend's one denominator, and becomes a
+Fraction only where a divisor's tail or leading coefficient brings one in.
+One private entry gives a remainder without quotients, from a Poly or
+straight from the kernel's integer sums (groebner.normal_form).  Derivatives
 and antiderivatives shift one exponent, which keeps the canonical term
 order, so they build their terms without re-sorting.
 
@@ -360,14 +359,16 @@ def _products(pairs: Iterable) -> tuple:
 
 
 def _sum_of_products(pairs: Iterable) -> Poly:
-    """sum(a * b for a, b in pairs), exactly, with one Fraction per output term.
+    """sum(a * b for a, b in pairs), exactly, with one Fraction per output term:
+    the products are summed on integer numerators by _products, so only the
+    output terms pay for a gcd, not every coefficient product."""
+    return _poly_over(*_products(pairs))
 
-    The products are summed on integer numerators by _products, and each
-    nonzero sum becomes Fraction(n, d) once at the end, so only the output
-    terms pay for a gcd, not every coefficient product.
-    """
-    d, acc = _products(pairs)
-    terms = [(m, Fraction(n, d)) for m, n in acc.items() if n]
+
+def _poly_over(den: int, acc: dict) -> Poly:
+    """The Poly sum(acc[m] / den * m) of int numerators, or Fractions where a
+    division step made them; zeros are dropped before any Fraction is built."""
+    terms = [(m, Fraction(n, den)) for m, n in acc.items() if n]
     terms.sort(key=lambda t: _lex_key(t[0]), reverse=True)
     return Poly._raw(tuple(terms))
 
@@ -485,31 +486,19 @@ def _grlex_heap_key(m: Mono):
     return (-m[0] - m[1] - m[2], -m[2], -m[1], -m[0])
 
 
-def _monic_integral(heads) -> bool:
-    """True when every ((lm, lc), terms) divisor head is monic with integer coefficients."""
-    return all(lc == 1 and all(c.denominator == 1 for _, c in terms)
-               for (_, lc), terms in heads)
-
-
-def _division_heads(divisors: Sequence[Poly], order: MonomialOrder) -> tuple:
-    """(integral, heads) of nonzero divisors, prepared for _divide.
-
-    heads holds one (leading monomial, leading coefficient, tail) per
-    divisor.  integral is True when every divisor is monic with integer
-    coefficients; the tails then hold integer numerators.
-    """
+def _division_heads(divisors: Sequence[Poly], order: MonomialOrder) -> list:
+    """One (leading monomial, leading coefficient, tail) per nonzero divisor,
+    for _divide: integer tail coefficients are ints, the others Fractions, and
+    a leading coefficient is the int 1 or a Fraction, so lc / dc is exact."""
     heads = [(d.leading_term(order), d.terms) for d in divisors]
-    if _monic_integral(heads):
-        return True, [(dm, 1, [(m, c.numerator) for m, c in terms if m != dm])
-                      for (dm, _), terms in heads]
-    return False, [(dm, dc, [t for t in terms if t[0] != dm]) for (dm, dc), terms in heads]
+    return [(dm, 1 if dc == 1 else dc,
+             [(m, c.numerator if c.denominator == 1 else c) for m, c in terms if m != dm])
+            for (dm, dc), terms in heads]
 
 
-def _dividend(p: Poly, integral: bool) -> tuple:
-    """(den, acc) of p for _divide: integer numerators over the lcm den of its
-    denominators when integral, otherwise den None and p's Fractions."""
-    if not integral:
-        return None, dict(p.terms)
+def _dividend(p: Poly) -> tuple:
+    """(den, acc) of p for _divide: integer numerators over the lcm den of
+    its denominators."""
     den = lcm(*{c.denominator for _, c in p.terms})
     return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms}
 
@@ -518,11 +507,11 @@ def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | N
             quotients: list | None) -> dict:
     """The heap division loop of divide_multivariate; it consumes acc.
 
-    acc is the dividend as {monomial: coefficient}, integer numerators over
-    a common denominator when the heads are integral, since no step then
-    divides, and Fractions otherwise; zero entries are skipped and spend no
-    step.  Returns the remainder dict.  quotients, unless None, receives
-    one {monomial: coefficient} dict per divisor.
+    acc is the dividend as {monomial: numerator} over one denominator, as
+    are the remainder dict it returns and the quotient dicts, one per
+    divisor, that quotients receives unless None.  The numerators are ints
+    until a leading coefficient other than 1 or a Fraction in a tail turns
+    the values it touches into Fractions.  Zero entries spend no step.
     """
     heap_key = _lex_heap_key if order is MonomialOrder.LEX else _grlex_heap_key
     rem: dict = {}
@@ -544,7 +533,6 @@ def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | N
         for i, (dm, dc, tail) in enumerate(heads):
             if mono_divides(dm, lm):
                 qm = mono_div(lm, dm)
-                # dc is 1 throughout the integer loop, which never divides
                 qc = lc if dc == 1 else lc / dc
                 if quotients is not None:
                     # leading monomials only fall, so qm is new to this quotient
@@ -567,12 +555,12 @@ def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | N
     return rem
 
 
-def _poly_over(acc: dict, den: int | None) -> Poly:
-    """The Poly of a dict from _divide: coefficients n / den, or the Fractions
-    themselves when den is None."""
-    if den is None:
-        return Poly._from_dict(acc)
-    return Poly._from_dict({m: Fraction(n, den) for m, n in acc.items()})
+def _remainder(den: int, acc: dict, divisors: Sequence[Poly], order: MonomialOrder,
+               budget: StepBudget | None) -> Poly:
+    """The remainder of divide_multivariate for the dividend
+    sum(acc[m] / den * m) and nonzero divisors, with the same steps and no
+    quotient built; it consumes acc."""
+    return _poly_over(den, _divide(acc, _division_heads(divisors, order), order, budget, None))
 
 
 def divide_multivariate(p: Poly, divisors: Sequence[Poly],
@@ -589,23 +577,20 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
 
     The dividend is kept as a {monomial: coefficient} dict with a heap of
     its monomials (heap division, Monagan & Pearce 2007), so a step costs
-    the divisor's tail, not a re-sort of the whole dividend.  When every
-    divisor is monic with integer coefficients (curve bases, localization
-    denominators), the loop runs on integer numerators over the dividend's
-    common denominator, and each output term becomes one Fraction at the
-    end; other divisors keep Fraction coefficients throughout.  Both give
-    the same steps and results.
+    the divisor's tail, not a re-sort of the whole dividend.  Its values are
+    integer numerators over the dividend's common denominator, and become
+    Fractions only where a divisor's tail or leading coefficient brings one
+    in; each output term becomes one Fraction at the end.
     """
     divisors = list(divisors)
     if not divisors:
         raise ValueError("divisors must be nonempty")
     if any(d.is_zero() for d in divisors):
         raise ValueError("cannot divide by the zero polynomial")
-    integral, heads = _division_heads(divisors, order)
-    den, acc = _dividend(p, integral)
+    den, acc = _dividend(p)
     quotients: list[dict] = [{} for _ in divisors]
-    rem = _divide(acc, heads, order, budget, quotients)
-    return [_poly_over(q, den) for q in quotients], _poly_over(rem, den)
+    rem = _divide(acc, _division_heads(divisors, order), order, budget, quotients)
+    return [_poly_over(den, q) for q in quotients], _poly_over(den, rem)
 
 
 # -- division modulo a prime --------------------------------------------------
@@ -718,7 +703,7 @@ def gcd_univariate(p: Poly, q: Poly, budget: StepBudget | None = None) -> Poly:
         # Euclid over Q on monic remainders; unscaled, the coefficient sizes
         # grow exponentially along the remainder sequence
         b = b * (1 / b.leading_term()[1])
-        a, b = b, divide_multivariate(a, [b], budget=budget)[1]
+        a, b = b, _remainder(*_dividend(a), [b], MonomialOrder.LEX, budget)
     if a.is_zero():
         return a
     return a * (1 / a.leading_term()[1])

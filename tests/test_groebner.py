@@ -28,7 +28,6 @@ from bracketdec.poly import (
     MonomialOrder,
     Poly,
     StepBudget,
-    _division_heads,
     _sum_of_products,
     divide_multivariate,
     mono_coprime,
@@ -64,10 +63,15 @@ def sympy_basis(gens, order=LEX):
     return out
 
 
-def sympy_normal_form(p, gens, order=LEX):
+@functools.cache
+def _sympy_groebner(gens: tuple, order):
     name = "lex" if order is LEX else "grlex"
-    gb = sympy.groebner([to_sympy(g) for g in gens], Z, Y, X, order=name)
-    return sympy.expand(gb.reduce(to_sympy(p))[1])
+    # over QQ, so dividends with denominators reduce too
+    return sympy.groebner([to_sympy(g) for g in gens], Z, Y, X, order=name, domain="QQ")
+
+
+def sympy_normal_form(p, gens, order=LEX):
+    return sympy.expand(_sympy_groebner(tuple(gens), order).reduce(to_sympy(p))[1])
 
 
 # -- frozen examples ----------------------------------------------------------
@@ -533,10 +537,23 @@ def _fused_basis(name):
 _FUSED_NAMES = ("twisted cubic", "lex plane", "grlex plane", "fraction plane")
 
 
-def test_fused_bases_take_both_division_loops():
-    integral = [_division_heads(_fused_basis(name).basis, _fused_basis(name).order)[0]
-                for name in _FUSED_NAMES]
-    assert integral == [True, True, True, False]
+def test_fused_bases_have_integer_and_fraction_coefficients():
+    # the division keeps ints over three bases and meets Fractions over one
+    integer = [all(c.denominator == 1 for b in _fused_basis(name).basis for _, c in b.terms)
+               for name in _FUSED_NAMES]
+    assert integer == [True, True, True, False]
+
+
+@pytest.mark.parametrize("name", _FUSED_NAMES)
+def test_fused_normal_form_with_denominators_matches_sympy(name):
+    # dividends with denominators on every basis, whatever Hypothesis draws
+    gb = _fused_basis(name)
+    z = " + 1/7 z^2" if name == "twisted cubic" else ""
+    pairs = [(parse_poly(f"1/3 x*y + 1/2{z}"), parse_poly("1/5 y^3 - x^2 + 2/9")),
+             (parse_poly("3/4 x^4"), parse_poly("y - 1/6"))]
+    fused = _normal_form_of_products(pairs, gb, None)
+    assert any(c.denominator > 1 for _, c in fused.terms)
+    assert to_sympy(fused) == sympy_normal_form(_sum_of_products(pairs), gb.basis, gb.order)
 
 
 _coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -566,6 +583,8 @@ def test_fused_normal_form_matches_unfused(data, name):
     assert fused.terms == rem.terms
     assert _sum_of_products(zip(quotients, gb.basis)) + rem == p
     assert len({b.remaining for b in budgets}) == 1
+    # fused and unfused share one division, so sympy checks the remainder
+    assert to_sympy(fused) == sympy_normal_form(p, gb.basis, gb.order)
     steps = 10**6 - budgets[0].remaining
     if steps:
         with pytest.raises(StepBudgetExceeded):

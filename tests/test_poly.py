@@ -524,17 +524,11 @@ def _monic(d, order):
 
 
 @pytest.mark.parametrize("order", [LEX, GRLEX])
-def test_divide_matches_reference(order, rand_poly, monkeypatch):
-    # record which loop each division takes: Fraction coefficients, or
-    # integer numerators for monic integer divisors
-    paths = []
-
-    def spy(heads):
-        paths.append(monic_integral(heads))
-        return paths[-1]
-
-    monic_integral = poly_module._monic_integral
-    monkeypatch.setattr(poly_module, "_monic_integral", spy)
+def test_divide_matches_reference(order, rand_poly):
+    # the corpus holds divisor lists that divide in integers alone, monic
+    # with integer coefficients, and lists whose leading coefficients other
+    # than 1 bring Fractions into the loop
+    kinds = set()
     rng = random.Random(7005 if order is LEX else 7006)
     variables = ("x", "y", "z")
     for monic in (False, True):
@@ -544,6 +538,8 @@ def test_divide_matches_reference(order, rand_poly, monkeypatch):
                         for _ in range(rng.randint(1, 4))]
             if monic:
                 divisors = [_monic(d, order) for d in divisors]
+            kinds.add(all(d.leading_term(order)[1] == 1
+                          and all(c.denominator == 1 for _, c in d.terms) for d in divisors))
             # multiples of the divisors plus noise: reduction steps cancel
             # dividend terms, and later steps recreate some of them; monic
             # sets get denominators up to 10^12, and every fourth dividend
@@ -560,7 +556,7 @@ def test_divide_matches_reference(order, rand_poly, monkeypatch):
             if steps:
                 with pytest.raises(StepBudgetExceeded):
                     divide_multivariate(p, divisors, order, StepBudget(steps - 1))
-    assert set(paths) == {False, True}
+    assert kinds == {False, True}
 
 
 def test_divide_budget():
@@ -591,12 +587,13 @@ def test_gcd_univariate_p_divides_lc_of_second_operand(monkeypatch):
     # zero and still proves a coprime pair coprime, with no Euclid over Q
     P = 2**61 - 1
     calls = []
+    remainder = poly_module._remainder
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return divide_multivariate(*args, **kwargs)
+        return remainder(*args, **kwargs)
 
-    monkeypatch.setattr(poly_module, "divide_multivariate", counting)
+    monkeypatch.setattr(poly_module, "_remainder", counting)
     assert gcd_univariate(parse_poly("x - 2"), parse_poly(f"{P} x^2 + x + 1")) == Poly.one()
     assert not calls
     # a shared factor leaves a nonconstant gcd modulo P, and Euclid finds it

@@ -94,6 +94,14 @@ ERROR_CASES = [
     # a one-term f, divided out in one pass
     ["decompose", "--curve", "line minus x", "--target", "1 / x^9999999999999"],  # budget
     ["decompose", "--curve", "line minus 2x", "--target", "1 / x^50"],
+    # Fractions in the division loop: a basis with a Fraction tail, and a
+    # non-monic f through the trial divisions and the repeated-root gcd
+    # (all_cases runs each decompose again with --trace)
+    ["decompose", "--curve", "plane 2y^2 - x^3 - x", "--target", "x*y + 1/3"],
+    ["decompose", "--curve", "plane 2y^2 - x^3 - x", "--target", "x*y + 1/3",
+     "--order", "grlex"],
+    ["check", "--curve", "line minus 3x^2 - 1"],
+    ["decompose", "--curve", "line minus 3x^2 - 1", "--target", "x / (3x^2 - 1)^2"],
 ]
 
 _CURVES = ["line", "line minus x^2 - 1", "line minus (x - 1)^2*(x + 2)", "line minus x",
