@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Sequence
-from fractions import Fraction
 from math import inf
 
 from .errors import (
@@ -48,7 +47,9 @@ from .poly import (
     StepBudget,
     _parse_quotient,
     _Record,
+    _divide_by_term,
     _remainder_steps_mod_p,
+    _scalar,
     _sum_of_products,
     apply_derivation,
     divide_multivariate,
@@ -139,7 +140,7 @@ class RingElem(_Operand):
         return RingElem(self.curve, -self.poly)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _scalar(other):
             return RingElem(self.curve, self.poly * other)
         other = self._check(other)
         return self.curve._reduce_products(((self.poly, other.poly),))
@@ -185,7 +186,7 @@ class LocalizedElem(_Operand):
         return LocalizedElem(self.curve, -self.numerator, self.exponent)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _scalar(other):
             if not other:
                 return self.curve.zero()
             return LocalizedElem(self.curve, self.numerator * other, self.exponent)
@@ -275,13 +276,11 @@ class LocalizedLine(Curve):
         """
         budget = StepBudget(self.max_steps)
         if len(self.denominator.terms) == 1:
-            ((e, _, _), c), = self.denominator.terms
+            e = self.denominator.leading_monomial()[0]
             j = min(most, min((m[0] for m, _ in p.terms), default=0) // e)
             constant = len(p.terms) == 1 and p.terms[0][0] == (j * e, 0, 0)
             budget.spend(len(p.terms) * (j + (j < most and not constant)))
-            cj = c ** j
-            return Poly._raw(tuple([((m[0] - j * e, m[1], m[2]), a / cj)
-                                    for m, a in p.terms])), j
+            return _divide_by_term(p, self.denominator, j), j
         j = 0
         while j < most and not p.is_constant():
             steps = _remainder_steps_mod_p(p, self.denominator)

@@ -8,16 +8,15 @@ when Buchberger's final step builds it.  Ideal membership comes back the
 same way instead of as a bare yes/no, and the reduced basis of the unit
 ideal is exactly (1,), so its one row is the unit certificate.
 
-Normal forms need no quotients, so they take poly's remainder-only
-division, and a normal form of a sum of products, as brackets and ring
-products take it, starts from the product kernel's integer numerators
-instead of a Poly.
+Normal forms need no quotients, so they take poly's one remainder entry,
+which reduces a sum of products (a bracket, a ring product, or a Poly times
+one) straight from the product kernel.  How coefficients are stored stays
+inside poly: this module reads only leading coefficients.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .poly import (
@@ -25,8 +24,6 @@ from .poly import (
     Poly,
     StepBudget,
     _Record,
-    _dividend,
-    _products,
     _remainder,
     _sum_of_products,
     divide_multivariate,
@@ -88,16 +85,20 @@ class MembershipCertificate(_Record):
             raise ValueError("cofactors do not recombine to the target")
 
 
-def _reduced_row(inv: Fraction, base, quotients, rows) -> tuple:
-    """inv * (sum of the base's multiplier * row - sum_k quotients[k] * rows[k]).
-
-    base is a sequence of (multiplier, row) pairs; each component of the
-    result is one kernel call.
+def _monic_remainder(p: Poly, base, divisors: list, rows: list, order: MonomialOrder,
+                     budget: StepBudget) -> tuple | None:
+    """One Buchberger step: (r / lc(r), its row) for the remainder r of
+    p = sum(u * target of row for u, row in base) by the divisors, whose rows
+    are rows, or None for r = 0; each component of the row is one kernel call.
     """
+    quotients, rem = divide_multivariate(p, divisors, order, budget) if divisors else ((), p)
+    if rem.is_zero():
+        return None
+    inv = 1 / rem.leading_term(order)[1]
     terms = [(u * inv, row) for u, row in base]
     terms += [(q * -inv, row) for q, row in zip(quotients, rows) if q]
-    return tuple(_sum_of_products((a, row[t]) for a, row in terms)
-                 for t in range(len(base[0][1])))
+    return rem * inv, tuple(_sum_of_products((a, row[t]) for a, row in terms)
+                            for t in range(len(base[0][1])))
 
 
 def buchberger(generators: Sequence[Poly],
@@ -173,11 +174,9 @@ def buchberger(generators: Sequence[Poly],
         s = _sum_of_products(((ui, polys[i]), (uj, polys[j])))
         if s.is_zero():
             continue
-        quotients, rem = divide_multivariate(s, polys, order, budget)
-        if rem.is_zero():
-            continue
-        inv = 1 / rem.leading_term(order)[1]
-        join(rem * inv, _reduced_row(inv, ((ui, rows[i]), (uj, rows[j])), quotients, rows))
+        step = _monic_remainder(s, ((ui, rows[i]), (uj, rows[j])), polys, rows, order, budget)
+        if step is not None:
+            join(*step)
 
     # minimal basis: drop elements whose leading monomial another divides
     by_lm = sorted(range(len(polys)), key=lambda i: (order.key(lts[i][0]), i))
@@ -193,14 +192,10 @@ def buchberger(generators: Sequence[Poly],
     final = []
     for i in kept:
         others = [k for k in kept if k != i]
-        if others:
-            quotients, rem = divide_multivariate(
-                polys[i], [polys[k] for k in others], order, budget)
-        else:
-            quotients, rem = [], polys[i]
-        inv = 1 / rem.leading_term(order)[1]
-        row = _reduced_row(inv, ((Poly.one(), rows[i]),), quotients, [rows[k] for k in others])
-        final.append(MembershipCertificate(rem * inv, gens, row))
+        rem, row = _monic_remainder(polys[i], ((Poly.one(), rows[i]),),
+                                    [polys[k] for k in others], [rows[k] for k in others],
+                                    order, budget)
+        final.append(MembershipCertificate(rem, gens, row))
 
     final.sort(key=lambda c: order.key(c.target.leading_monomial(order)), reverse=True)
     return GroebnerBasis(gens, tuple(final), order)
@@ -211,19 +206,17 @@ def normal_form(p: Poly, gb: GroebnerBasis, budget: StepBudget | None = None) ->
 
     The division builds no quotients.
     """
-    if not gb.rows:
-        return p
-    return _remainder(*_dividend(p), gb.basis, gb.order, budget)
+    return _normal_form_of_products(((p, Poly.one()),), gb, budget)
 
 
 def _normal_form_of_products(pairs, gb: GroebnerBasis, budget: StepBudget | None) -> Poly:
-    """normal_form(_sum_of_products(pairs), gb, budget), reduced straight from
+    """The normal form of sum(a * b for a, b in pairs), reduced straight from
     the kernel's integer numerators, which the division keeps as they are
-    over any basis.  Steps and result are those of the unfused call.
+    over any basis: the steps and result of normal_form on the sum.
     """
     if not gb.rows:
         return _sum_of_products(pairs)
-    return _remainder(*_products(pairs), gb.basis, gb.order, budget)
+    return _remainder(pairs, gb.basis, gb.order, budget)
 
 
 def certificate_from_basis(target: Poly, gb: GroebnerBasis,

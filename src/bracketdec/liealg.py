@@ -14,13 +14,12 @@ on the lift).  On a localized line tau is d/dx by the quotient rule.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .curve import Curve, LocalizedElem, RingElem, _Operand
 from .errors import CurveMismatch
 from .poly import (
     _derivation_pairs,
     _Record,
+    _scalar,
     _sum_of_products,
     apply_derivation,
     partial_derivative,
@@ -48,7 +47,7 @@ class VField(_Operand):
         return VField(-self.coeff)
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
+        if not _scalar(scalar):
             return NotImplemented
         return VField(self.coeff * scalar)
 

@@ -5,17 +5,17 @@ module is exact.  A polynomial is stored as a tuple of (monomial,
 coefficient) pairs with no zero coefficients, sorted descending in the
 lexicographic order; monomials are plain exponent triples (e_x, e_y, e_z).
 
-Products, and sums of products such as S-polynomials, cofactor rows and
-certificate identities, go through one kernel that multiplies integer
-numerators over a common denominator and builds one Fraction per output
-term, so the gcd that Fraction arithmetic pays on every operation is paid
-once per term.  Division keeps that representation: each value is an
-integer numerator over the dividend's one denominator, and becomes a
-Fraction only where a divisor's tail or leading coefficient brings one in.
-One private entry gives a remainder without quotients, from a Poly or
-straight from the kernel's integer sums (groebner.normal_form).  Derivatives
-and antiderivatives shift one exponent, which keeps the canonical term
-order, so they build their terms without re-sorting.
+Only this module knows how coefficients are stored.  Sums and differences,
+the parser's too, go through one signed sum; products, and sums of products
+such as S-polynomials, cofactor rows and certificate identities, through one
+kernel that multiplies integer numerators over a common denominator and
+builds one Fraction per output term, so the gcd that Fraction arithmetic
+pays on every operation is paid once per term.  Division keeps that
+representation: each value is an integer numerator over the dividend's one
+denominator, and becomes a Fraction only where a divisor's tail or leading
+coefficient brings one in.  One private entry, _remainder, reduces a sum of
+products without building quotients.  Derivatives and antiderivatives shift
+one exponent, which keeps the canonical term order, so they need no sort.
 
 Both monomial orders compare the z exponent first and the x exponent last.
 Reduction modulo a curve ideal therefore eliminates z and y before x, and
@@ -66,9 +66,15 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
     return min(a[0], b[0]) == 0 and min(a[1], b[1]) == 0 and min(a[2], b[2]) == 0
 
 
-def _lex_key(m: Mono):
-    # z first, x last: elimination pushes representatives into x
-    return (m[2], m[1], m[0])
+def _term_key(term):  # the canonical order sorts descending by it: LEX of the monomial
+    return term[0][::-1]
+
+
+def _scalar(x) -> bool:
+    """True for a scalar of Q: an int or a Fraction.  A Poly, the common
+    operand, is ruled out first, because a failing isinstance against
+    Fraction goes through ABCMeta and costs about twenty times as much."""
+    return not isinstance(x, Poly) and isinstance(x, Scalar)
 
 
 class MonomialOrder(Enum):
@@ -83,7 +89,8 @@ class MonomialOrder(Enum):
 
     def key(self, mono: Mono):
         if self is MonomialOrder.LEX:
-            return _lex_key(mono)
+            # z first, x last: elimination pushes representatives into x
+            return mono[::-1]
         return (mono[0] + mono[1] + mono[2], mono[2], mono[1], mono[0])
 
 
@@ -141,7 +148,7 @@ class Poly:
                 acc[mono] = c
             elif mono in acc:
                 del acc[mono]
-        self.terms = tuple(sorted(acc.items(), key=lambda t: _lex_key(t[0]), reverse=True))
+        self.terms = tuple(sorted(acc.items(), key=_term_key, reverse=True))
 
     @classmethod
     def _raw(cls, terms: tuple) -> "Poly":
@@ -154,12 +161,6 @@ class Poly:
         p = object.__new__(cls)
         p.terms = terms
         return p
-
-    @classmethod
-    def _from_dict(cls, acc: dict) -> "Poly":
-        items = tuple(sorted(((m, c) for m, c in acc.items() if c),
-                             key=lambda t: _lex_key(t[0]), reverse=True))
-        return cls._raw(items)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -240,22 +241,8 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            v = acc.get(m)
-            if v is None:
-                acc[m] = c
-            else:
-                v = v + c
-                if v:
-                    acc[m] = v
-                else:
-                    del acc[m]
-        return Poly._from_dict(acc)
+        other = _operand(other)
+        return NotImplemented if other is None else _signed_sum(((True, self), (True, other)))
 
     __radd__ = __add__
 
@@ -263,26 +250,21 @@ class Poly:
         return Poly._raw(tuple([(m, -c) for m, c in self.terms]))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        other = _operand(other)
+        return NotImplemented if other is None else _signed_sum(((True, self), (False, other)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _operand(other)
+        return NotImplemented if other is None else _signed_sum(((True, other), (False, self)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return _ZERO
-            return Poly._raw(tuple([(m, c * q) for m, c in self.terms]))
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            return self if other is _ONE else _sum_of_products(((self, other),))
+        if not _scalar(other):
             return NotImplemented
-        if other is _ONE:
-            return self
-        return _sum_of_products(((self, other),))
+        if not other:
+            return _ZERO
+        return Poly._raw(tuple([(m, c * other) for m, c in self.terms]))
 
     __rmul__ = __mul__
 
@@ -292,14 +274,12 @@ class Poly:
         return _power(self, exponent, Poly.__mul__)
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
-        return NotImplemented
+        other = _operand(other)
+        return NotImplemented if other is None else self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.terms)
+        # a constant equals its value, so it hashes as that value
+        return hash(self.as_constant()) if self.is_constant() else hash(self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -332,6 +312,32 @@ _ZERO = Poly._raw(())
 _ONE = Poly._raw((((0, 0, 0), Fraction(1)),))
 
 
+def _operand(x):
+    """x as the Poly operand of a sum or comparison, or None."""
+    return x if isinstance(x, Poly) else Poly.constant(x) if _scalar(x) else None
+
+
+def _signed_sum(operands: Iterable) -> Poly:
+    """The sum of the (positive, p) operands, each p added when positive and
+    subtracted otherwise: one dict, seeded with a leading positive operand's
+    terms and sorted once, so a difference builds no negated copy and a long
+    sum costs time linear in its terms."""
+    acc: dict = {}
+    for positive, p in operands:
+        if positive and not acc:
+            acc.update(p.terms)
+            continue
+        for m, c in p.terms:
+            v = acc.get(m)
+            if v is None:
+                acc[m] = c if positive else -c
+            else:  # may cancel to zero, dropped at the end
+                acc[m] = v + c if positive else v - c
+    terms = [t for t in acc.items() if t[1]]
+    terms.sort(key=_term_key, reverse=True)
+    return Poly._raw(tuple(terms))
+
+
 def _products(pairs: Iterable) -> tuple:
     """(d, acc): sum(a * b for a, b in pairs) is sum(acc[m] / d * m), exactly.
 
@@ -345,6 +351,8 @@ def _products(pairs: Iterable) -> tuple:
     # as long as the polynomials (such tuples linger in the interpreter's
     # free lists and raise peak memory)
     da = lcm(*{c.denominator for a, _ in pairs for _, c in a})
+    if len(pairs) == 1 and pairs[0][1] is _ONE.terms:  # a Poly alone: no products
+        return da, {m: c.numerator * (da // c.denominator) for m, c in pairs[0][0]}
     db = lcm(*{c.denominator for _, b in pairs for _, c in b})
     acc: dict = {}
     get = acc.get
@@ -369,8 +377,17 @@ def _poly_over(den: int, acc: dict) -> Poly:
     """The Poly sum(acc[m] / den * m) of int numerators, or Fractions where a
     division step made them; zeros are dropped before any Fraction is built."""
     terms = [(m, Fraction(n, den)) for m, n in acc.items() if n]
-    terms.sort(key=lambda t: _lex_key(t[0]), reverse=True)
+    terms.sort(key=_term_key, reverse=True)
     return Poly._raw(tuple(terms))
+
+
+def _divide_by_term(p: Poly, t: Poly, j: int) -> Poly:
+    """p / t^j for the one-term t = c * m, where m^j divides every monomial
+    of p: one pass over p's terms, which keeps their order."""
+    ((m0, m1, m2), c), = t.terms
+    cj = c ** j
+    return Poly._raw(tuple([((a[0] - j * m0, a[1] - j * m1, a[2] - j * m2), v / cj)
+                            for a, v in p.terms]))
 
 
 def _power(base, e: int, mul):
@@ -496,13 +513,6 @@ def _division_heads(divisors: Sequence[Poly], order: MonomialOrder) -> list:
             for (dm, dc), terms in heads]
 
 
-def _dividend(p: Poly) -> tuple:
-    """(den, acc) of p for _divide: integer numerators over the lcm den of
-    its denominators."""
-    den = lcm(*{c.denominator for _, c in p.terms})
-    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms}
-
-
 def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | None,
             quotients: list | None) -> dict:
     """The heap division loop of divide_multivariate; it consumes acc.
@@ -555,11 +565,13 @@ def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | N
     return rem
 
 
-def _remainder(den: int, acc: dict, divisors: Sequence[Poly], order: MonomialOrder,
+def _remainder(pairs: Iterable, divisors: Sequence[Poly], order: MonomialOrder,
                budget: StepBudget | None) -> Poly:
     """The remainder of divide_multivariate for the dividend
-    sum(acc[m] / den * m) and nonzero divisors, with the same steps and no
-    quotient built; it consumes acc."""
+    sum(a * b for a, b in pairs) and nonzero divisors, with the same steps
+    and no quotient built: the division starts from the product kernel's
+    integer numerators.  A Poly p is the one pair (p, Poly.one())."""
+    den, acc = _products(pairs)
     return _poly_over(den, _divide(acc, _division_heads(divisors, order), order, budget, None))
 
 
@@ -587,7 +599,7 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
         raise ValueError("divisors must be nonempty")
     if any(d.is_zero() for d in divisors):
         raise ValueError("cannot divide by the zero polynomial")
-    den, acc = _dividend(p)
+    den, acc = _products(((p, _ONE),))
     quotients: list[dict] = [{} for _ in divisors]
     rem = _divide(acc, _division_heads(divisors, order), order, budget, quotients)
     return [_poly_over(den, q) for q in quotients], _poly_over(den, rem)
@@ -699,20 +711,18 @@ def gcd_univariate(p: Poly, q: Poly, budget: StepBudget | None = None) -> Poly:
             if len(a) == 1:
                 return _ONE
     a, b = p, q
-    while not b.is_zero():
+    while b:
         # Euclid over Q on monic remainders; unscaled, the coefficient sizes
         # grow exponentially along the remainder sequence
         b = b * (1 / b.leading_term()[1])
-        a, b = b, _remainder(*_dividend(a), [b], MonomialOrder.LEX, budget)
-    if a.is_zero():
-        return a
-    return a * (1 / a.leading_term()[1])
+        a, b = b, _remainder(((a, _ONE),), [b], MonomialOrder.LEX, budget)
+    return a * (1 / a.leading_term()[1]) if a else a
 
 
 # -- parsing ----------------------------------------------------------------
 
 # Deepest parenthesis nesting the recursive-descent parser accepts; each
-# level costs four Python frames, so deeper text would hit the interpreter's
+# level costs six Python frames, so deeper text would hit the interpreter's
 # recursion limit instead of failing with a ParseError.
 MAX_NESTING = 100
 
@@ -847,22 +857,19 @@ class _PolyParser:
         return num, den
 
     def expr(self) -> Poly:
-        sign = 1
+        return _signed_sum(self.signed_terms())
+
+    def signed_terms(self):
+        """(positive, term) for each term of the sum that starts here."""
+        positive = True
         while self.peek() in ("+", "-"):
             if self.take()[0] == "-":
-                sign = -sign
-        # the signed terms merge into one dict and the sum is built once, so
-        # its work is linear in the terms its charged operands produced
-        acc: dict = {}
+                positive = not positive
         while True:
-            for m, c in self.term().terms:
-                if sign < 0:
-                    c = -c
-                v = acc.get(m)
-                acc[m] = c if v is None else v + c
+            yield positive, self.term()
             if self.peek() not in ("+", "-"):
-                return Poly._from_dict(acc)
-            sign = 1 if self.take()[0] == "+" else -1
+                return
+            positive = self.take()[0] == "+"
 
     def term(self) -> Poly:
         acc = self.factor()

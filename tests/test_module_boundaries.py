@@ -1,0 +1,41 @@
+"""How Poly stores its coefficients is known to poly.py alone.
+
+The other modules build and read polynomials through poly's public names,
+its one scalar rule and its division and product entry points, so a change
+of the storage format touches poly.py only.  These checks read the package
+sources with ast.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bracketdec"
+
+# the helpers that take or give integer numerators over a common denominator
+_FORMAT_HELPERS = {"_products", "_poly_over", "_division_heads", "_divide"}
+
+
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_only_poly_and_decompose_import_fractions():
+    importers = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+                importers.add(name)
+    assert "poly.py" in importers <= {"poly.py", "decompose.py"}
+
+
+@pytest.mark.parametrize("name", sorted(set(_trees()) - {"poly.py"}))
+def test_no_other_module_reaches_into_the_format(name):
+    for node in ast.walk(_trees()[name]):
+        if isinstance(node, ast.ImportFrom):
+            assert not {a.name for a in node.names} & _FORMAT_HELPERS, ast.unparse(node)
+        elif isinstance(node, ast.Attribute):
+            # Poly._raw wraps terms unchecked; module attributes reach the helpers
+            assert node.attr not in _FORMAT_HELPERS | {"_raw"}, ast.unparse(node)

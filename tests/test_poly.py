@@ -209,7 +209,7 @@ def _schoolbook_mul(p, q):
             m = mono_mul(m1, m2)
             v = acc.get(m)
             acc[m] = c1 * c2 if v is None else v + c1 * c2
-    return Poly._from_dict(acc)
+    return Poly(acc.items())
 
 
 def _schoolbook_sum_of_products(pairs):
@@ -307,6 +307,11 @@ def test_hash_eq():
     b = parse_poly("y + x")
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    # a constant polynomial equals its value, so sets and dicts must agree
+    for value in (0, 3, -7, Fraction(1, 2)):
+        c = Poly.constant(value)
+        assert c == value and hash(c) == hash(value)
+        assert len({c, value}) == 1 and {value: "v"}.get(c) == "v"
 
 
 # -- orders and leading terms -------------------------------------------------
@@ -485,16 +490,16 @@ def _schoolbook_divide(p, divisors, order=LEX, budget=None):
                 qc = lc / dc
                 q = quotients[i]
                 q[qm] = q.get(qm, Fraction(0)) + qc
-                cur = cur - Poly._raw(((qm, qc),)) * divisors[i]
+                cur = cur - Poly.monomial(qm, qc) * divisors[i]
                 break
         else:
             rem_terms.append((lm, lc))
             if order is MonomialOrder.LEX:
                 # canonical storage is descending lex, so terms[0] is lm
-                cur = Poly._raw(cur.terms[1:])
+                cur = Poly(cur.terms[1:])
             else:
-                cur = cur - Poly._raw(((lm, lc),))
-    return [Poly._from_dict(q) for q in quotients], Poly(rem_terms)
+                cur = cur - Poly.monomial(lm, lc)
+    return [Poly(q.items()) for q in quotients], Poly(rem_terms)
 
 
 def _assert_divides_like_reference(p, divisors, order):
@@ -557,6 +562,33 @@ def test_divide_matches_reference(order, rand_poly):
                 with pytest.raises(StepBudgetExceeded):
                     divide_multivariate(p, divisors, order, StepBudget(steps - 1))
     assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX])
+def test_divide_matches_reference_with_rational_divisors(order, rand_poly):
+    # divisors with Fraction tails, monic or not, over dividends with
+    # denominators: the loop's values turn into Fractions only where a tail
+    # or a leading coefficient touches them
+    rng = random.Random(7007 if order is LEX else 7008)
+    variables = ("x", "y", "z")
+    tails = set()
+    for _ in range(300):
+        divisors = [rand_poly(rng, variables=variables, max_degree=3, max_terms=4,
+                              nonzero=True, max_denominator=12)
+                    for _ in range(rng.randint(1, 4))]
+        if rng.randrange(2):
+            divisors = [_monic(d, order) for d in divisors]
+        tails.add(any(c.denominator != 1 for d in divisors for m, c in d.terms
+                      if m != d.leading_monomial(order)))
+        p = rand_poly(rng, variables=variables, max_degree=4, max_denominator=12)
+        for d in divisors:
+            p = p + rand_poly(rng, variables=variables, max_degree=2, max_terms=3,
+                              max_denominator=12) * d
+        steps = _assert_divides_like_reference(p, divisors, order)
+        if steps:
+            with pytest.raises(StepBudgetExceeded):
+                divide_multivariate(p, divisors, order, StepBudget(steps - 1))
+    assert True in tails
 
 
 def test_divide_budget():

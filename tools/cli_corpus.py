@@ -14,7 +14,8 @@ The cases, in order:
 - the ``bracketdec`` lines of the README's CLI block;
 - the ``cli`` benchmark workload cases of seeds 1 and 3 (``bench/workloads.py``,
   imported read-only);
-- one or more inputs per error code and exit code;
+- one or more inputs per error code and exit code, then cases for signs,
+  rational cancellation and one-term localization denominators;
 - every ``decompose`` and ``localize`` case of the lists above again with
   ``--trace``;
 - 400 argument lists drawn from ``random.Random(13)``.
@@ -102,6 +103,22 @@ ERROR_CASES = [
      "--order", "grlex"],
     ["check", "--curve", "line minus 3x^2 - 1"],
     ["decompose", "--curve", "line minus 3x^2 - 1", "--target", "x / (3x^2 - 1)^2"],
+    # signs through the one signed sum: unary signs, a sign after a binary
+    # one, negated groups, and a long flat sum whose repeated monomials merge
+    # and cancel, led by a minus
+    ["decompose", "--curve", "line", "--target=--x"],
+    ["decompose", "--curve", "plane y^2 - x^3 - x", "--target", "x - -y"],
+    ["decompose", "--curve", "plane y^2 - x^3 - x", "--target", "-(x - y) - (y - x)"],
+    ["decompose", "--curve", "plane y^2 - x^3 - x", "--target", "-(x - y) - (y - 2x)"],
+    ["decompose", "--curve", "line", "--target", " ".join(
+        f"{'-+'[i % 2]} {(7 * i) % 13 + 1} x^{i % 39}" for i in range(2000))],
+    ["decompose", "--curve", "line", "--target", "1/3 x - 1/3 x + 1/2"],  # cancellation
+    ["verify", "--curve", "line", "--target", "1/3 x - 1/3 x + 1/2",
+     "--pairs", "1, 1/2 x - 1/3 x + 1/3 x"],
+    # a one-term f with a coefficient, divided out in one pass
+    ["decompose", "--curve", "line minus 2x^3", "--target", "1 / x^6"],
+    ["decompose", "--curve", "line minus 2x^3", "--target", "(x + 1) / (4x^6)"],
+    ["localize", "--curve", "line minus 2/3 x^2", "--pairs", "x^5, 3x", "--k", "2"],
 ]
 
 _CURVES = ["line", "line minus x^2 - 1", "line minus (x - 1)^2*(x + 2)", "line minus x",
