@@ -13,7 +13,10 @@ vector field tau:
   curve, and has components generating the unit ideal modulo the curve.
 
 Elements are kept in canonical form (normal form modulo the curve ideal,
-or numerator/denominator in lowest terms), so equality is structural.
+or numerator/denominator in lowest terms), so equality is structural.  The
+reductions are groebner's and poly's entries; each call gets a fresh
+StepBudget of the curve's max_steps, and this module reads no polynomial's
+terms.
 """
 
 from __future__ import annotations
@@ -45,14 +48,12 @@ from .poly import (
     MonomialOrder,
     Poly,
     StepBudget,
+    _divide_out,
     _parse_quotient,
     _Record,
-    _divide_by_term,
-    _remainder_steps_mod_p,
     _scalar,
     _sum_of_products,
     apply_derivation,
-    divide_multivariate,
     format_number,
     gcd_univariate,
     parse_poly,
@@ -251,7 +252,8 @@ class LocalizedLine(Curve):
             raise ValueError("denominator exponent must be nonnegative")
         if self._member(numerator).is_zero():
             return LocalizedElem(self, numerator, 0)
-        numerator, j = self._divide_out(numerator, exponent)
+        numerator, j = _divide_out(numerator, self.denominator, exponent,
+                                   StepBudget(self.max_steps))
         return LocalizedElem(self, numerator, exponent - j)
 
     @property
@@ -261,45 +263,14 @@ class LocalizedLine(Curve):
     def reduce(self, p: Poly) -> LocalizedElem:
         return self.elem(p, 0)
 
-    def _divide_out(self, p: Poly, most) -> tuple:
-        """(p / f^j, j) for the largest j <= most such that f^j divides p.
-
-        A constant p, zero included, comes back with j = 0 and is never
-        divided: the nonconstant f divides no nonzero constant.  The trial
-        divisions share one budget of max_steps steps.  Before each one a
-        degree check or a division modulo a prime may prove that f does not
-        divide p; the loop then stops, charging the steps the exact division
-        would have spent, and every j it keeps is an exact quotient.
-        A one-term f = c x^e is divided out in one pass, charged first as
-        the loop charges: one step per term of p for each division and for
-        the failing trial that ends the loop when it makes one.
-        """
-        budget = StepBudget(self.max_steps)
-        if len(self.denominator.terms) == 1:
-            e = self.denominator.leading_monomial()[0]
-            j = min(most, min((m[0] for m, _ in p.terms), default=0) // e)
-            constant = len(p.terms) == 1 and p.terms[0][0] == (j * e, 0, 0)
-            budget.spend(len(p.terms) * (j + (j < most and not constant)))
-            return _divide_by_term(p, self.denominator, j), j
-        j = 0
-        while j < most and not p.is_constant():
-            steps = _remainder_steps_mod_p(p, self.denominator)
-            if steps is not None:
-                budget.spend(steps)
-                break
-            quotients, rem = divide_multivariate(p, [self.denominator], budget=budget)
-            if not rem.is_zero():
-                break
-            p = quotients[0]
-            j += 1
-        return p, j
-
     def parse_element(self, text: str) -> LocalizedElem:
         """Parse `num` or `num / den` where den is c * f^m for the line's f."""
         num, den = _parse_quotient(text)
         if den is None:
             return self.reduce(num)
-        den, m = self._divide_out(den, inf)
+        # a den outside Q[x] is no c * f^m, and is not divided
+        den, m = (_divide_out(den, self.denominator, inf, StepBudget(self.max_steps))
+                  if den.uses_only(self.variables) else (den, 0))
         if not den.is_constant():
             raise ParseError(
                 "element denominator must be a constant multiple of a power "

@@ -5,17 +5,21 @@ module is exact.  A polynomial is stored as a tuple of (monomial,
 coefficient) pairs with no zero coefficients, sorted descending in the
 lexicographic order; monomials are plain exponent triples (e_x, e_y, e_z).
 
-Only this module knows how coefficients are stored.  Sums and differences,
-the parser's too, go through one signed sum; products, and sums of products
-such as S-polynomials, cofactor rows and certificate identities, through one
-kernel that multiplies integer numerators over a common denominator and
-builds one Fraction per output term, so the gcd that Fraction arithmetic
-pays on every operation is paid once per term.  Division keeps that
-representation: each value is an integer numerator over the dividend's one
-denominator, and becomes a Fraction only where a divisor's tail or leading
-coefficient brings one in.  One private entry, _remainder, reduces a sum of
-products without building quotients.  Derivatives and antiderivatives shift
-one exponent, which keeps the canonical term order, so they need no sort.
+Only this module knows how terms and coefficients are stored, and only it
+spends step budgets: the other modules pass a StepBudget to its entries.
+Sums and differences, the parser's too, go through one signed sum; products,
+and sums of products such as S-polynomials, cofactor rows and certificate
+identities, through one kernel that multiplies integer numerators over a
+common denominator and builds one Fraction per output term, so the gcd that
+Fraction arithmetic pays on every operation is paid once per term.  Division
+keeps that representation: each value is an integer numerator over the
+dividend's one denominator, and becomes a Fraction only where a divisor's
+tail or leading coefficient brings one in.  One private entry, _remainder,
+reduces a sum of products without building quotients; another, _divide_out,
+puts an element of a localized line in lowest terms by trial divisions, most
+of them decided without an exact division.  Derivatives and antiderivatives
+shift one exponent, which keeps the canonical term order, so they need no
+sort.
 
 Both monomial orders compare the z exponent first and the x exponent last.
 Reduction modulo a curve ideal therefore eliminates z and y before x, and
@@ -42,10 +46,6 @@ _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 Mono = tuple
 
 Scalar = int | Fraction
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -381,15 +381,6 @@ def _poly_over(den: int, acc: dict) -> Poly:
     return Poly._raw(tuple(terms))
 
 
-def _divide_by_term(p: Poly, t: Poly, j: int) -> Poly:
-    """p / t^j for the one-term t = c * m, where m^j divides every monomial
-    of p: one pass over p's terms, which keeps their order."""
-    ((m0, m1, m2), c), = t.terms
-    cj = c ** j
-    return Poly._raw(tuple([((a[0] - j * m0, a[1] - j * m1, a[2] - j * m2), v / cj)
-                            for a, v in p.terms]))
-
-
 def _power(base, e: int, mul):
     """base^e by repeated squaring, every product taken by mul(a, b)."""
     result = None
@@ -662,30 +653,6 @@ def _divide_mod_p(a: list, b: list) -> tuple:
     return nq, rem
 
 
-def _remainder_steps_mod_p(p: Poly, f: Poly):
-    """Steps divide_multivariate(p, [f]) would spend, when a check modulo P
-    proves that it leaves a remainder; None when the exact division must run.
-
-    p and f are nonconstant and univariate in x.  A p of lower degree than f
-    is its own remainder, one step per term.  Otherwise, when p is dense
-    enough and P divides no denominator and not lc(f), a nonzero remainder
-    modulo P decides it, and the steps are the nonzero quotient and
-    remainder coefficients of the run modulo P; the exact division spends
-    one step per nonzero quotient and remainder coefficient over Q, the same
-    count unless one of those is a multiple of P.
-    """
-    if p.terms[0][0][0] < f.terms[0][0][0]:
-        return len(p.terms)
-    a = _residues(p)
-    if a is None:
-        return None
-    b = _residues(f)
-    if b is None or not b[-1]:
-        return None
-    nq, rem = _divide_mod_p(a, b)
-    return nq + sum(1 for c in rem if c) if rem else None
-
-
 def gcd_univariate(p: Poly, q: Poly, budget: StepBudget | None = None) -> Poly:
     """Monic gcd of two polynomials in x.
 
@@ -717,6 +684,58 @@ def gcd_univariate(p: Poly, q: Poly, budget: StepBudget | None = None) -> Poly:
         b = b * (1 / b.leading_term()[1])
         a, b = b, _remainder(((a, _ONE),), [b], MonomialOrder.LEX, budget)
     return a * (1 / a.leading_term()[1]) if a else a
+
+
+# -- lowest terms on a localized line -----------------------------------------
+
+
+def _divide_out(p: Poly, f: Poly, most, budget: StepBudget) -> tuple:
+    """(p / f^j, j) for the largest j <= most such that f^j divides p.
+
+    The lowest-terms reduction of Q[x][1/f], for a nonconstant f in x: one
+    trial division of p by f per power divided out, and a failing one that
+    ends the loop unless j reaches most or p a constant.  A constant p, zero
+    included, is never divided, since the nonconstant f divides no nonzero
+    constant.  Every trial charges budget what divide_multivariate(p, [f])
+    spends, one step per nonzero quotient and remainder term, even where
+    that division does not run:
+
+    * A one-term f = c x^e divides p exactly min(most, e_min // e) times,
+      e_min the least x exponent in p, so those trials are charged first,
+      one step per term of p each, and p / f^j is built in one pass.
+    * A p of lower degree than f is its own remainder, one step per term.
+    * When p is dense enough and P divides no denominator and not lc(f), a
+      nonzero remainder modulo P proves that f does not divide p; its steps
+      are the nonzero quotient and remainder coefficients of the run modulo
+      P, the exact count unless an exact one is a nonzero multiple of P.
+    * Any other trial runs the exact division, so every j kept is exact.
+    """
+    if len(f.terms) == 1:
+        ((e, _, _), c), = f.terms
+        terms = p.terms
+        j = min(most, min((m[0] for m, _ in terms), default=0) // e)
+        constant = len(terms) == 1 and terms[0][0] == (j * e, 0, 0)
+        budget.spend(len(terms) * (j + (j < most and not constant)))
+        cj = c ** j
+        return Poly._raw(tuple([((m[0] - j * e, m[1], m[2]), v / cj) for m, v in terms])), j
+    j = 0
+    while j < most and not p.is_constant():
+        if p.terms[0][0][0] < f.terms[0][0][0]:
+            budget.spend(len(p.terms))
+            break
+        a = _residues(p)
+        b = None if a is None else _residues(f)
+        if b is not None and b[-1]:
+            nq, rem = _divide_mod_p(a, b)
+            if rem:
+                budget.spend(nq + sum(1 for c in rem if c))
+                break
+        quotients, rem = divide_multivariate(p, [f], budget=budget)
+        if rem:
+            break
+        p = quotients[0]
+        j += 1
+    return p, j
 
 
 # -- parsing ----------------------------------------------------------------
@@ -860,16 +879,12 @@ class _PolyParser:
         return _signed_sum(self.signed_terms())
 
     def signed_terms(self):
-        """(positive, term) for each term of the sum that starts here."""
-        positive = True
+        """(positive, term) for each term of the sum that starts here; a sign
+        before the first term belongs to its first factor."""
+        yield True, self.term()
         while self.peek() in ("+", "-"):
-            if self.take()[0] == "-":
-                positive = not positive
-        while True:
-            yield positive, self.term()
-            if self.peek() not in ("+", "-"):
-                return
             positive = self.take()[0] == "+"
+            yield positive, self.term()
 
     def term(self) -> Poly:
         acc = self.factor()
@@ -885,6 +900,12 @@ class _PolyParser:
                 return acc
 
     def factor(self) -> Poly:
+        """An atom with an optional power, after any number of signs, which
+        bind looser than the power (-x^2 is -(x^2)) and are read in one
+        loop, not a frame each."""
+        negative = False
+        while self.peek() in ("+", "-"):
+            negative ^= self.take()[0] == "-"
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -892,7 +913,7 @@ class _PolyParser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
             base = self.power(base, int(text))
-        return base
+        return -base if negative else base
 
     def atom(self) -> Poly:
         if self.peek() is None:

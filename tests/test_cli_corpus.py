@@ -31,3 +31,12 @@ def test_corpus_covers_every_exit_and_error_code():
                 if isinstance(cls, type) and issubclass(cls, errors.BracketDecError)}
     reachable = declared - {"curve_mismatch", "certificate_failure"}
     assert codes >= reachable | {"invalid_input", "verification_failed", None}
+
+
+def test_budget_edges_are_the_smallest_budgets():
+    # each path of the lowest-terms reduction succeeds at its listed budget
+    # and runs out one step below it
+    for argv, steps in cli_corpus._BUDGET_EDGES:
+        exits = [cli_corpus.run_case(cli.main, argv + ["--max-steps", str(n)])["exit"]
+                 for n in (steps, steps - 1)]
+        assert exits == [0, 4], argv

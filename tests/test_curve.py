@@ -40,6 +40,7 @@ from bracketdec.poly import (
     MonomialOrder,
     Poly,
     StepBudget,
+    _divide_out,
     divide_multivariate,
     gcd_univariate,
     parse_poly,
@@ -374,8 +375,8 @@ def test_localized_linear_operations_do_not_divide(monkeypatch):
     line = LocalizedLine(parse_poly("x^2 - 1"))
     e = line.elem(parse_poly("x + 3"), 2)
     calls = []
-    divide = curve_module.divide_multivariate
-    monkeypatch.setattr(curve_module, "divide_multivariate",
+    divide = poly_module.divide_multivariate
+    monkeypatch.setattr(poly_module, "divide_multivariate",
                         lambda *a, **kw: calls.append(1) or divide(*a, **kw))
     assert (-e).numerator == parse_poly("-x - 3") and (-e).exponent == 2
     half = e * Fraction(3, 2)
@@ -429,6 +430,12 @@ def test_localized_parse_element():
         line.parse_element("1 / (x + 2)")
     with pytest.raises(ParseError):
         line.parse_element("1 / (x^2 - 1) / (x^2 - 1)")
+    # a denominator in y is no c * f^m, whatever its terms in x, and is
+    # refused before any trial division spends a step
+    for line, text in ((line, "1 / ((x^2 - 1)(y + x))"),
+                       (LocalizedLine(parse_poly("x"), max_steps=0), "1 / y")):
+        with pytest.raises(ParseError, match="constant multiple of a power"):
+            line.parse_element(text)
 
 
 def _split_element_division(text: str):
@@ -455,7 +462,8 @@ def _reference_parse_element(line, text):
     if split is None:
         return line.reduce(parse_poly(text))
     num = parse_poly(split[0])
-    den, m = line._divide_out(parse_poly(split[1]), inf)
+    den, m = _divide_out(parse_poly(split[1]), line.denominator, inf,
+                         StepBudget(line.max_steps))
     if not den.is_constant():
         raise ParseError("element denominator must be a constant multiple of a power "
                          f"of the localization denominator ({line.denominator})")
@@ -572,14 +580,6 @@ def _numerators(draw, f):
     return p
 
 
-class _RecordedBudget(StepBudget):
-    made: list = []
-
-    def __init__(self, limit):
-        super().__init__(limit)
-        self.made.append(self)
-
-
 def _divide_out_unfiltered(line, p, most):
     """The lowest-terms loop with an exact division for every trial."""
     budget = StepBudget(line.max_steps)
@@ -609,18 +609,17 @@ def test_filtered_divide_out_matches_exact_loop(data, f, most, max_steps):
     line = LocalizedLine(f, max_steps=max_steps)
 
     def filtered():
-        _RecordedBudget.made.clear()
-        with mock.patch.object(curve_module, "StepBudget", _RecordedBudget):
-            q, j = line._divide_out(p, most)
-        return q, j, _RecordedBudget.made[0].remaining
+        budget = StepBudget(max_steps)
+        q, j = _divide_out(p, f, most, budget)
+        return q, j, budget.remaining
 
     assert _outcome(filtered) == _outcome(lambda: _divide_out_unfiltered(line, p, most))
 
 
 def _count_exact_divisions(monkeypatch) -> list:
     calls = []
-    divide = curve_module.divide_multivariate
-    monkeypatch.setattr(curve_module, "divide_multivariate",
+    divide = poly_module.divide_multivariate
+    monkeypatch.setattr(poly_module, "divide_multivariate",
                         lambda *a, **k: calls.append(a[0]) or divide(*a, **k))
     return calls
 
@@ -642,7 +641,7 @@ def test_divide_out_defers_to_exact_division(monkeypatch, f, p, most, exact, j):
     line = LocalizedLine(parse_poly(f))
     calls = _count_exact_divisions(monkeypatch)
     num = parse_poly(p)
-    q, got = line._divide_out(num, most)
+    q, got = _divide_out(num, line.denominator, most, StepBudget(line.max_steps))
     assert (len(calls), got) == (exact, j)
     assert q * line.denominator ** j == num
 

@@ -1,8 +1,10 @@
-"""How Poly stores its coefficients is known to poly.py alone.
+"""How Poly stores its terms and coefficients is known to poly.py alone,
+and so is every charge to a step budget.
 
 The other modules build and read polynomials through poly's public names,
 its one scalar rule and its division and product entry points, so a change
-of the storage format touches poly.py only.  These checks read the package
+of the storage format touches poly.py only, and they hand a StepBudget to
+those entry points without spending it.  These checks read the package
 sources with ast.
 """
 
@@ -39,3 +41,10 @@ def test_no_other_module_reaches_into_the_format(name):
         elif isinstance(node, ast.Attribute):
             # Poly._raw wraps terms unchecked; module attributes reach the helpers
             assert node.attr not in _FORMAT_HELPERS | {"_raw"}, ast.unparse(node)
+
+
+@pytest.mark.parametrize("name", sorted(set(_trees()) - {"poly.py"}))
+def test_no_other_module_reads_terms_or_spends_steps(name):
+    for node in ast.walk(_trees()[name]):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in {"terms", "spend", "remaining"}, ast.unparse(node)

@@ -25,7 +25,6 @@ from bracketdec.poly import (
     _sum_of_products,
     mono_div,
     mono_divides,
-    mono_mul,
     parse_poly,
     partial_derivative,
 )
@@ -69,6 +68,23 @@ def test_parse_basic():
 
 def test_parse_unicode_minus():
     assert parse_poly("y^2 − x") == parse_poly("y^2 - x")
+
+
+_X, _Y = Poly.variable("x"), Poly.variable("y")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("x - -y", _X + _Y),
+    ("x * -y", -(_X * _Y)),
+    ("x*-1/2", _X * Fraction(-1, 2)),
+    ("-x^2", -(_X * _X)),  # the sign binds looser than the power
+    ("(-x)^2", _X * _X),
+    ("2 -x", 2 - _X),  # a sign after a factor is binary, not juxtaposition
+    ("-" * 1000 + "x", _X),
+    ("-" * 999 + "x", -_X),
+])
+def test_parse_sign_before_any_factor(text, expected):
+    assert parse_poly(text) == expected
 
 
 def _nested(depth):
@@ -206,7 +222,7 @@ def _schoolbook_mul(p, q):
     acc: dict = {}
     for m1, c1 in p.terms:
         for m2, c2 in q.terms:
-            m = mono_mul(m1, m2)
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
             v = acc.get(m)
             acc[m] = c1 * c2 if v is None else v + c1 * c2
     return Poly(acc.items())

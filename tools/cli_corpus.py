@@ -15,7 +15,8 @@ The cases, in order:
 - the ``cli`` benchmark workload cases of seeds 1 and 3 (``bench/workloads.py``,
   imported read-only);
 - one or more inputs per error code and exit code, then cases for signs,
-  rational cancellation and one-term localization denominators;
+  rational cancellation, one-term localization denominators, and each path
+  of the localized line's lowest-terms reduction at its smallest budget;
 - every ``decompose`` and ``localize`` case of the lists above again with
   ``--trace``;
 - 400 argument lists drawn from ``random.Random(13)``.
@@ -119,7 +120,28 @@ ERROR_CASES = [
     ["decompose", "--curve", "line minus 2x^3", "--target", "1 / x^6"],
     ["decompose", "--curve", "line minus 2x^3", "--target", "(x + 1) / (4x^6)"],
     ["localize", "--curve", "line minus 2/3 x^2", "--pairs", "x^5, 3x", "--k", "2"],
+    # a sign before any factor
+    ["decompose", "--curve", "plane y^2 - x^3 - x", "--target", "x * -y"],
+    ["decompose", "--curve", "line", "--target", "x*-1/2"],
+    ["decompose", "--curve", "line", "--target", "-x^2"],
+    ["decompose", "--curve", "line", "--target", "(-x)^2"],
+    ["decompose", "--curve", "line", "--target", "2 -x"],
+    ["decompose", "--curve", "line", "--target", "-" * 1000 + "x"],
 ]
+
+# each path of the localized line's lowest-terms reduction, with the smallest
+# --max-steps that succeeds: a one-term f, the degree check, the reject modulo
+# P, an exact trial (p is sparse), and the exact trials that read an element's
+# denominator.  Each runs at that budget and at one below it.
+_BUDGET_EDGES = [
+    (["decompose", "--curve", "line minus x", "--target", "(x^5 + 3) / x^3"], 4),
+    (["decompose", "--curve", "line minus x^3 + 1", "--target", "x^2 / (x^3 + 1)"], 4),
+    (["decompose", "--curve", "line minus x^2 + 1", "--target", "(x^3 + 2) / (x^2 + 1)^3"], 9),
+    (["decompose", "--curve", "line minus x + 1", "--target", "(x^30 + 2) / (x + 1)"], 37),
+    (["decompose", "--curve", "line minus x^2 + 1", "--target", "1 / (x^2 + 1)^5"], 15),
+]
+ERROR_CASES += [argv + ["--max-steps", str(n)]
+                for argv, steps in _BUDGET_EDGES for n in (steps, steps - 1)]
 
 _CURVES = ["line", "line minus x^2 - 1", "line minus (x - 1)^2*(x + 2)", "line minus x",
            "plane y^2 - x^3 - x", "plane y^2 - x^5 + x", "plane y^2 - x^3",
