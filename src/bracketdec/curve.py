@@ -39,7 +39,6 @@ from .errors import (
 from .groebner import (
     DEFAULT_MAX_STEPS,
     MembershipCertificate,
-    _normal_form_of_products,
     buchberger,
     normal_form,
     unit_certificate,
@@ -51,6 +50,7 @@ from .poly import (
     _divide_out,
     _parse_quotient,
     _Record,
+    _remainder,
     _scalar,
     _sum_of_products,
     apply_derivation,
@@ -81,9 +81,9 @@ class Curve:
 
     def _reduce_products(self, pairs) -> RingElem:
         """The element sum(a * b for a, b in pairs) of polynomials already in
-        the ring, reduced modulo the curve's basis from one kernel call."""
-        return RingElem(self, _normal_form_of_products(pairs, self.gb,
-                                                       StepBudget(self.max_steps)))
+        the ring, reduced modulo the curve's basis, never empty; AffineLine overrides this."""
+        return RingElem(self, _remainder(pairs, self.gb.basis, self.gb.order,
+                                         StepBudget(self.max_steps)))
 
     def zero(self):
         return self.reduce(Poly.zero())

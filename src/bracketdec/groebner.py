@@ -8,10 +8,10 @@ when Buchberger's final step builds it.  Ideal membership comes back the
 same way instead of as a bare yes/no, and the reduced basis of the unit
 ideal is exactly (1,), so its one row is the unit certificate.
 
-Normal forms need no quotients, so they take poly's one remainder entry,
-which reduces a sum of products (a bracket, a ring product, or a Poly times
-one) straight from the product kernel.  How coefficients are stored stays
-inside poly: this module reads only leading coefficients.
+Normal forms need no quotients, so normal_form calls poly's one remainder
+entry, which the curves call themselves on the sums of products of a
+bracket or a ring product.  How coefficients are stored stays inside poly:
+this module reads only leading coefficients.
 """
 
 from __future__ import annotations
@@ -204,19 +204,9 @@ def buchberger(generators: Sequence[Poly],
 def normal_form(p: Poly, gb: GroebnerBasis, budget: StepBudget | None = None) -> Poly:
     """Remainder of p modulo the basis; the canonical coset representative.
 
-    The division builds no quotients.
+    The division builds no quotients; the zero ideal's empty basis leaves p.
     """
-    return _normal_form_of_products(((p, Poly.one()),), gb, budget)
-
-
-def _normal_form_of_products(pairs, gb: GroebnerBasis, budget: StepBudget | None) -> Poly:
-    """The normal form of sum(a * b for a, b in pairs), reduced straight from
-    the kernel's integer numerators, which the division keeps as they are
-    over any basis: the steps and result of normal_form on the sum.
-    """
-    if not gb.rows:
-        return _sum_of_products(pairs)
-    return _remainder(pairs, gb.basis, gb.order, budget)
+    return _remainder(((p, Poly.one()),), gb.basis, gb.order, budget) if gb.rows else p
 
 
 def certificate_from_basis(target: Poly, gb: GroebnerBasis,

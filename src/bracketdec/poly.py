@@ -6,7 +6,8 @@ coefficient) pairs with no zero coefficients, sorted descending in the
 lexicographic order; monomials are plain exponent triples (e_x, e_y, e_z).
 
 Only this module knows how terms and coefficients are stored, and only it
-spends step budgets: the other modules pass a StepBudget to its entries.
+spends step budgets: the other modules pass a StepBudget to its entries, and
+the parser bounds its own work with one, so one class counts every bound.
 Sums and differences, the parser's too, go through one signed sum; products,
 and sums of products such as S-polynomials, cofactor rows and certificate
 identities, through one kernel that multiplies integer numerators over a
@@ -15,11 +16,11 @@ Fraction arithmetic pays on every operation is paid once per term.  Division
 keeps that representation: each value is an integer numerator over the
 dividend's one denominator, and becomes a Fraction only where a divisor's
 tail or leading coefficient brings one in.  One private entry, _remainder,
-reduces a sum of products without building quotients; another, _divide_out,
-puts an element of a localized line in lowest terms by trial divisions, most
-of them decided without an exact division.  Derivatives and antiderivatives
-shift one exponent, which keeps the canonical term order, so they need no
-sort.
+reduces a sum of products without building quotients, for normal_form and
+the curves' products alike; another, _divide_out, puts an element of a
+localized line in lowest terms by trial divisions, most of them decided
+without an exact division.  Derivatives and antiderivatives shift one
+exponent, which keeps the canonical term order, so they need no sort.
 
 Both monomial orders compare the z exponent first and the x exponent last.
 Reduction modulo a curve ideal therefore eliminates z and y before x, and
@@ -36,6 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf, lcm, log2
+from operator import index
 
 from .errors import ParseError, StepBudgetExceeded
 
@@ -140,7 +142,10 @@ class Poly:
     def __init__(self, terms: Iterable = ()):
         acc: dict = {}
         for mono, coeff in terms:
-            mono = (int(mono[0]), int(mono[1]), int(mono[2]))
+            try:
+                mono = (index(mono[0]), index(mono[1]), index(mono[2]))
+            except TypeError:
+                raise ValueError("monomial exponents must be integers") from None
             if mono[0] < 0 or mono[1] < 0 or mono[2] < 0:
                 raise ValueError("monomial exponents must be nonnegative")
             c = acc.get(mono, 0) + Fraction(coeff)
@@ -471,17 +476,19 @@ def _derivation_pairs(components: Sequence[Poly], p: Poly) -> list:
 
 
 class StepBudget:
-    """Countdown of elementary reduction steps shared across a computation."""
+    """Countdown of steps shared across a computation; spent past zero, it
+    raises StepBudgetExceeded with its message."""
 
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "message")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, message: str = "reduction step budget exhausted"):
         self.remaining = int(limit)
+        self.message = message
 
     def spend(self, steps: int = 1) -> None:
         self.remaining -= steps
         if self.remaining < 0:
-            raise StepBudgetExceeded("reduction step budget exhausted")
+            raise StepBudgetExceeded(self.message)
 
 
 # Negated order keys: heapq pops its least entry, which is then the largest
@@ -745,10 +752,10 @@ def _divide_out(p: Poly, f: Poly, most, budget: StepBudget) -> tuple:
 # recursion limit instead of failing with a ParseError.
 MAX_NESTING = 100
 
-# Most work one polynomial text may cost to parse.  The step budget bounds
-# only division, so without this a short text such as (x+1)^3000 or
-# 3^200000000 could run unbounded.  Each product and power step is charged
-# before it runs, len(a.terms) * len(b.terms) * (1 + w_a * w_b + (w_a + w_b) * w_d)
+# The limit of the parser's own StepBudget.  The user's budget bounds only
+# division, so without it a short text such as (x+1)^3000 or 3^200000000
+# could run unbounded.  Each product and power step spends, before it runs,
+# len(a.terms) * len(b.terms) * (1 + w_a * w_b + (w_a + w_b) * w_d)
 # with w_a, w_b the width in 64-bit words of the integer numerators the
 # product multiplies (the longest numerator of the operand plus the length
 # of the lcm of its denominators) and w_d the width of the product's common
@@ -758,6 +765,8 @@ MAX_NESTING = 100
 # coefficients, nor many distinct or long denominators escape the bound;
 # (x+1)^600 costs about 2,000,000.
 MAX_PARSE_COST = 3_000_000
+_PARSE_EXHAUSTED = (f"parse phase: polynomial text costs more than {MAX_PARSE_COST} "
+                    "coefficient word products to expand")
 
 
 # whitespace, then one token; any other character lands in the last group.
@@ -767,10 +776,16 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([xyz])|([-+*/^()])|(\S))")
 
 def _tokenize(text: str):
     text = text.replace("−", "-").replace("·", "*")
+    # every integer literal passes here: past the interpreter's limit (none
+    # before 3.10.7, or when 0) int() raises ValueError, so refuse it first
+    most = getattr(sys, "get_int_max_str_digits", int)() or inf
     tokens = []
     for num, var, op, bad in _TOKEN.findall(text):
         if bad:
             raise ParseError(f"unexpected character {bad!r} in polynomial text")
+        if len(num) > most:
+            raise ParseError(f"integer literal longer than {most} digits, the "
+                             "interpreter's limit for reading an integer")
         tokens.append(("int", num) if num else ("var", var) if var else (op, op))
     return tokens
 
@@ -800,7 +815,7 @@ class _PolyParser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.cost = 0
+        self.budget = StepBudget(MAX_PARSE_COST, _PARSE_EXHAUSTED)
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -817,26 +832,19 @@ class _PolyParser:
             raise ParseError(f"expected {kind!r} at token {self.pos}")
         return self.take()
 
-    def charge(self, cost: int) -> None:
-        self.cost += cost
-        if self.cost > MAX_PARSE_COST:
-            raise StepBudgetExceeded(
-                f"parse phase: polynomial text costs more than {MAX_PARSE_COST} "
-                "coefficient word products to expand")
-
     def mul(self, a: Poly, b: Poly) -> Poly:
         wa, da = _coeff_words(a)
         wb, db = (wa, da) if b is a else _coeff_words(b)
         d = da * db
         wd = -(-d.bit_length() // 64) if d > 1 else 0
-        self.charge(len(a.terms) * len(b.terms) * (1 + wa * wb + (wa + wb) * wd))
+        self.budget.spend(len(a.terms) * len(b.terms) * (1 + wa * wb + (wa + wb) * wd))
         return a * b
 
     def power(self, base: Poly, e: int) -> Poly:
-        """base^e, charged as repeated squaring through mul is charged.
+        """base^e, spending what repeated squaring through mul spends.
 
         A one-term base c*m is raised as one exponent product and one
-        coefficient power.  The charges come from running the squaring on
+        coefficient power.  The steps come from running the squaring on
         the exponents k of the powers c^k alone, so no big number is built
         before it is paid for: the numerator and denominator v^k of c^k have
         floor(k log2 |v|) + 1 bits, taken in floating point (exact unless
@@ -848,16 +856,16 @@ class _PolyParser:
         n, d = c.as_integer_ratio()
         ln, ld = log2(abs(n)), log2(d)
 
-        def mul_exponents(i, j):  # c^i * c^j, charged as mul charges it
+        def mul_exponents(i, j):  # c^i * c^j, spent as mul spends it
             wi, wj = (-(-(2 + int(k * ln) + int(k * ld)) // 64) for k in (i, j))
             wd = -(-(1 + int((i + j) * ld)) // 64) if ld else 0
-            self.charge(1 + wi * wj + (wi + wj) * wd)
+            self.budget.spend(1 + wi * wj + (wi + wj) * wd)
             return i + j
 
         if ln or ld:
             _power(1, e, mul_exponents)
         else:  # c = +-1: each of the squaring's products costs 1 + 1 * 1
-            self.charge(2 * (e.bit_count() + e.bit_length() - 2))
+            self.budget.spend(2 * (e.bit_count() + e.bit_length() - 2))
         return Poly._raw((((m[0] * e, m[1] * e, m[2] * e), c ** e),))
 
     def parse(self, quotient: bool = False) -> tuple:
@@ -868,7 +876,8 @@ class _PolyParser:
         num, den = self.expr(), None
         if quotient and self.peek() == "/":
             self.take()
-            self.cost = 0  # each side is charged as its own polynomial text
+            # the denominator is its own polynomial text, with its own budget
+            self.budget = StepBudget(MAX_PARSE_COST, _PARSE_EXHAUSTED)
             den = self.expr()
         if self.pos != len(self.tokens):
             kind = self.tokens[self.pos][1]

@@ -210,6 +210,14 @@ def test_sparse_denominator_exits_4_at_once():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("target", ["9" * 5000, "x / " + "9" * 5000, "x^" + "9" * 5000],
+                         ids=["coefficient", "denominator", "exponent"])
+def test_overlong_literal_is_parse_error(target):
+    code, doc, err = run_cli("decompose", "--curve", "line", "--target", target)
+    assert code == 2 and doc["error"]["code"] == "parse_error"
+    assert "longer than" in doc["error"]["message"]
+
+
 def test_non_decimal_digit_is_parse_error():
     code, doc, err = run_cli("decompose", "--curve", "line", "--target", "x²")
     assert code == 2 and doc["error"]["code"] == "parse_error"

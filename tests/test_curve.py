@@ -313,6 +313,8 @@ def test_localized_line_validation():
 
 def test_localized_elem_normalization():
     line = LocalizedLine(parse_poly("x"))
+    with pytest.raises(ValueError, match="nonnegative"):
+        line.elem(parse_poly("x"), -1)
     e = line.elem(parse_poly("x^3"), 2)
     assert e.numerator == parse_poly("x") and e.exponent == 0
     e = line.elem(parse_poly("x^2 + x"), 1)

@@ -18,7 +18,6 @@ from bracketdec.groebner import (
     DEFAULT_MAX_STEPS,
     GroebnerBasis,
     MembershipCertificate,
-    _normal_form_of_products,
     buchberger,
     certificate_from_basis,
     normal_form,
@@ -28,6 +27,7 @@ from bracketdec.poly import (
     MonomialOrder,
     Poly,
     StepBudget,
+    _remainder,
     _sum_of_products,
     divide_multivariate,
     mono_coprime,
@@ -110,6 +110,14 @@ def test_zero_generators_dropped():
     # cofactor row still aligned with both generators
     assert len(gb.rows[0].cofactors) == 2
     assert gb.rows[0].cofactors[0].is_zero()
+    # the zero ideal has an empty basis: nothing reduces and nothing nonzero is a member
+    zero = buchberger([Poly.zero()])
+    assert zero.basis == () and zero.rows == ()
+    p = parse_poly("x y + 1")
+    assert normal_form(p, zero, StepBudget(0)) == p
+    assert certificate_from_basis(p, zero) is None
+    with pytest.raises(ValueError, match="nonempty"):
+        buchberger([])
 
 
 def test_deterministic():
@@ -134,6 +142,8 @@ def test_certificate_rejects_bad_cofactors():
     gens = (parse_poly("x"),)
     with pytest.raises(ValueError):
         MembershipCertificate(Poly.one(), gens, (parse_poly("1"),))
+    with pytest.raises(ValueError, match="one cofactor per generator"):
+        MembershipCertificate(Poly.zero(), gens, ())
 
 
 def test_groebner_basis_rejects_bad_cofactor_row():
@@ -551,7 +561,7 @@ def test_fused_normal_form_with_denominators_matches_sympy(name):
     z = " + 1/7 z^2" if name == "twisted cubic" else ""
     pairs = [(parse_poly(f"1/3 x*y + 1/2{z}"), parse_poly("1/5 y^3 - x^2 + 2/9")),
              (parse_poly("3/4 x^4"), parse_poly("y - 1/6"))]
-    fused = _normal_form_of_products(pairs, gb, None)
+    fused = _remainder(pairs, gb.basis, gb.order, None)
     assert any(c.denominator > 1 for _, c in fused.terms)
     assert to_sympy(fused) == sympy_normal_form(_sum_of_products(pairs), gb.basis, gb.order)
 
@@ -576,7 +586,7 @@ def test_fused_normal_form_matches_unfused(data, name):
         pairs.append((pairs[0][1], -pairs[0][0]))
     p = _sum_of_products(pairs)
     budgets = [StepBudget(10**6) for _ in range(3)]
-    fused = _normal_form_of_products(pairs, gb, budgets[0])
+    fused = _remainder(pairs, gb.basis, gb.order, budgets[0])
     assert fused.terms == normal_form(p, gb, budgets[1]).terms
     # the public division still builds the quotients Buchberger's rows read
     quotients, rem = divide_multivariate(p, list(gb.basis), gb.order, budgets[2])
@@ -588,6 +598,6 @@ def test_fused_normal_form_matches_unfused(data, name):
     steps = 10**6 - budgets[0].remaining
     if steps:
         with pytest.raises(StepBudgetExceeded):
-            _normal_form_of_products(pairs, gb, StepBudget(steps - 1))
+            _remainder(pairs, gb.basis, gb.order, StepBudget(steps - 1))
         with pytest.raises(StepBudgetExceeded):
             normal_form(p, gb, StepBudget(steps - 1))

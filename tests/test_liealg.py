@@ -211,6 +211,8 @@ def test_vfield_ops():
     assert (u - u).is_zero()
     assert str(-u) == "-x"
     assert u.curve == line
+    with pytest.raises(TypeError):
+        u * u  # fields scale by scalars only
 
 
 def test_bracket_decomp_container():

@@ -1,5 +1,5 @@
 """How Poly stores its terms and coefficients is known to poly.py alone,
-and so is every charge to a step budget.
+and so is every charge to a step budget, which one class counts and raises.
 
 The other modules build and read polynomials through poly's public names,
 its one scalar rule and its division and product entry points, so a change
@@ -48,3 +48,30 @@ def test_no_other_module_reads_terms_or_spends_steps(name):
     for node in ast.walk(_trees()[name]):
         if isinstance(node, ast.Attribute):
             assert node.attr not in {"terms", "spend", "remaining"}, ast.unparse(node)
+
+
+def _budget_raise_sites(tree) -> set:
+    """Qualified names of the functions that raise StepBudgetExceeded."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "StepBudgetExceeded":
+                    sites.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_one_class_counts_every_bound():
+    # every counted bound, the parser's included, is a StepBudget; the
+    # output guard counts nothing, it reports the interpreter's digit limit
+    sites = {(name, site) for name, tree in _trees().items()
+             for site in _budget_raise_sites(tree)}
+    assert sites == {("poly.py", "StepBudget.spend"), ("poly.py", "format_number")}

@@ -44,6 +44,20 @@ def test_zero_and_one():
     assert str(Poly.zero()) == "0"
     assert Poly.one().as_constant() == 1
     assert Poly([((0, 0, 0), 2), ((0, 0, 0), -2)]).is_zero()
+    assert parse_poly("x + 1").coefficient((0, 1, 0)) == 0
+    with pytest.raises(ValueError, match="not constant"):
+        parse_poly("x + 1").as_constant()
+    with pytest.raises(ValueError, match="unknown variable"):
+        Poly.variable("w")
+
+
+@pytest.mark.parametrize("mono", [(1.5, 0, 0), (0, 1.0, 0), ("2", 0, 0), (0, 0, -1)])
+def test_poly_rejects_exponents_that_are_not_nonnegative_integers(mono):
+    # int() would have read (1.5, 0, 0) as x and ("2", 0, 0) as x^2
+    with pytest.raises(ValueError, match="monomial exponents must be"):
+        Poly([(mono, 1)])
+    with pytest.raises(ValueError, match="monomial exponents must be"):
+        Poly.monomial(mono)
 
 
 def test_terms_are_canonical():
@@ -98,6 +112,23 @@ def test_parse_rejects(bad):
         parse_poly(bad)
 
 
+def test_parse_rejects_literals_int_would_refuse():
+    # a coefficient, a p/q denominator and an exponent past the interpreter's
+    # digit limit are parse errors, not int()'s bare ValueError
+    limit = sys.get_int_max_str_digits()
+    long = "9" * (limit + 1)
+    for text in (long, f"x + 1/{long}", f"x^{long}", "0" * limit + "01"):
+        with pytest.raises(ParseError, match=f"longer than {limit} digits"):
+            parse_poly(text)
+    assert parse_poly("9" * limit).as_constant() == 10 ** limit - 1
+    # a limit of 0 means none
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_poly(long).as_constant() == 10 ** (limit + 1) - 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_parse_product_bound():
     with pytest.raises(StepBudgetExceeded,
                        match=f"parse phase: .* more than {MAX_PARSE_COST} coefficient word"):
@@ -111,7 +142,7 @@ def test_parse_product_bound():
     expanded = parser.parse()[0]
     assert len(expanded.terms) == 601 and expanded.coefficient((300, 0, 0)) == comb(600, 300)
     # integer coefficients have no common denominator to charge a gcd against
-    assert parser.cost == 1_997_207
+    assert MAX_PARSE_COST - parser.budget.remaining == 1_997_207
     for text, expected in (("(x - 2y + 1)^7", parse_poly("x - 2y + 1") ** 7),
                            ("(3x)^0", Poly.one()), ("2(x+1)^2", parse_poly("2x^2 + 4x + 2"))):
         assert parse_poly(text) == expected
@@ -165,7 +196,7 @@ def test_parse_monomial_power_charged_as_squaring(base):
                 direct.power(b, e)
             continue
         assert direct.power(b, e) == want
-        assert direct.cost == squared.cost
+        assert direct.budget.remaining == squared.budget.remaining
 
 
 def test_parse_long_flat_sum():

@@ -14,9 +14,10 @@ The cases, in order:
 - the ``bracketdec`` lines of the README's CLI block;
 - the ``cli`` benchmark workload cases of seeds 1 and 3 (``bench/workloads.py``,
   imported read-only);
-- one or more inputs per error code and exit code, then cases for signs,
-  rational cancellation, one-term localization denominators, and each path
-  of the localized line's lowest-terms reduction at its smallest budget;
+- one or more inputs per error code and exit code, over-long integer
+  literals among them, then cases for signs, rational cancellation, one-term
+  localization denominators, and each path of the localized line's
+  lowest-terms reduction at its smallest budget;
 - every ``decompose`` and ``localize`` case of the lists above again with
   ``--trace``;
 - 400 argument lists drawn from ``random.Random(13)``.
@@ -52,6 +53,10 @@ ERROR_CASES = [
     ["localize", "--curve", "line", "--pairs", "x, 1", "--k", "1"],  # validation_error
     ["decompose", "--curve", "line", "--target", "x^"],              # parse_error
     ["decompose", "--curve", "line", "--target", "x²"],              # non-decimal digit
+    # literals past the interpreter's 4,300-digit limit for int(): parse_error
+    ["decompose", "--curve", "line", "--target", "9" * 5000 + " x"],  # coefficient
+    ["decompose", "--curve", "line", "--target", "x + 1/" + "9" * 5000],  # denominator
+    ["decompose", "--curve", "line", "--target", "x^" + "9" * 5000],  # exponent
     ["decompose", "--curve", "line minus x", "--target", "1 / y"],   # parse_error
     ["decompose", "--curve", "line minus x", "--target", "x / 2x"],  # a number after '/'
     ["decompose", "--curve", "line minus x + 1", "--target", "(x+1) / 2(x+1)^2"],
