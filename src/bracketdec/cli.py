@@ -122,13 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact bracket decompositions of vector fields on affine curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, traced=False):
         p.add_argument("--order", choices=("lex", "grlex"), default="lex",
-                       help="monomial order for reductions (default lex)")
+                       help="monomial order for the reductions of a plane or space curve "
+                            "(default lex); a line ignores it")
         p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                        metavar="N", help="reduction step budget")
         p.add_argument("--trace", action="store_true",
-                       help="include construction intermediates in the output")
+                       help="include construction intermediates in the output" if traced
+                       else "accepted and ignored: only decompose and localize print a trace")
 
     p_check = sub.add_parser("check", help="validate a curve description")
     p_check.add_argument("--curve", required=True)
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--curve", required=True)
     p_dec.add_argument("--target", required=True,
                        help="coefficient of tau, in the curve's element grammar")
-    add_common(p_dec)
+    add_common(p_dec, traced=True)
 
     p_loc = sub.add_parser("localize",
                            help="push a line decomposition onto a localized line")
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help='line decomposition as "a1, b1; a2, b2; ..."')
     p_loc.add_argument("--k", type=int, required=True,
                        help="divide each pair entry by f^k")
-    add_common(p_loc)
+    add_common(p_loc, traced=True)
 
     p_ver = sub.add_parser("verify", help="recombine pairs and compare with target")
     p_ver.add_argument("--curve", required=True)

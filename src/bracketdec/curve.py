@@ -25,6 +25,7 @@ import re
 import warnings
 from collections.abc import Sequence
 from math import inf
+from operator import index
 
 from .errors import (
     BadVariables,
@@ -247,7 +248,11 @@ class LocalizedLine(Curve):
 
     def elem(self, numerator: Poly, exponent: int = 0) -> LocalizedElem:
         """numerator / f^exponent in lowest terms."""
-        exponent = int(exponent)
+        try:
+            exponent = index(exponent)
+        except TypeError:
+            raise ValueError(
+                f"denominator exponent must be an integer, not {exponent!r}") from None
         if exponent < 0:
             raise ValueError("denominator exponent must be nonnegative")
         if self._member(numerator).is_zero():

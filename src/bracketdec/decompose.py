@@ -20,6 +20,7 @@ so a returned decomposition is verified, never assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .curve import (
     AffineLine,
@@ -157,7 +158,10 @@ def _localize(decomp: BracketDecomp, line: LocalizedLine, k: int, trace: bool) -
     """
     if not isinstance(decomp.curve, AffineLine):
         raise CurveMismatch("localize_decomp expects a decomposition on the line")
-    k = int(k)
+    try:
+        k = index(k)
+    except TypeError:
+        raise ValueError(f"localization exponent must be an integer, not {k!r}") from None
     if k < 0:
         raise ValueError("localization exponent must be nonnegative")
     target = line.elem(recombine(decomp).coeff.poly, 2 * k)

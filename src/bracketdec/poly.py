@@ -12,7 +12,10 @@ Sums and differences, the parser's too, go through one signed sum; products,
 and sums of products such as S-polynomials, cofactor rows and certificate
 identities, through one kernel that multiplies integer numerators over a
 common denominator and builds one Fraction per output term, so the gcd that
-Fraction arithmetic pays on every operation is paid once per term.  Division
+Fraction arithmetic pays on every operation is paid once per term.  The
+parser's products and the squarings of its powers go through the same
+kernel, which spends the parse charge from the denominator lcms it takes
+anyway: one exact rule, with no estimate.  Division
 keeps that representation: each value is an integer numerator over the
 dividend's one denominator, and becomes a Fraction only where a divisor's
 tail or leading coefficient brings one in.  One private entry, _remainder,
@@ -36,7 +39,7 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import inf, lcm, log2
+from math import inf, lcm
 from operator import index
 
 from .errors import ParseError, StepBudgetExceeded
@@ -343,25 +346,33 @@ def _signed_sum(operands: Iterable) -> Poly:
     return Poly._raw(tuple(terms))
 
 
-def _products(pairs: Iterable) -> tuple:
+def _products(pairs: Iterable, budget: StepBudget | None = None) -> tuple:
     """(d, acc): sum(a * b for a, b in pairs) is sum(acc[m] / d * m), exactly.
 
     Every coefficient of an a is scaled to an integer numerator over da, the
     lcm of the denominators of all the a's, and likewise every b over db, so
     d = da * db.  The numerator products are summed as plain ints into the
     {monomial: numerator} dict acc, which may keep zeros where terms cancel.
+    Only the parser passes a budget: each pair, a product with one included,
+    then spends the parse cost rule of MAX_PARSE_COST before its products
+    are taken.
     """
     pairs = [(a.terms, b.terms) for a, b in pairs if a.terms and b.terms]
     # sets: lcm gets the few distinct denominators, not an argument tuple
     # as long as the polynomials (such tuples linger in the interpreter's
     # free lists and raise peak memory)
     da = lcm(*{c.denominator for a, _ in pairs for _, c in a})
-    if len(pairs) == 1 and pairs[0][1] is _ONE.terms:  # a Poly alone: no products
+    if budget is None and len(pairs) == 1 and pairs[0][1] is _ONE.terms:  # a Poly alone
         return da, {m: c.numerator * (da // c.denominator) for m, c in pairs[0][0]}
     db = lcm(*{c.denominator for _, b in pairs for _, c in b})
     acc: dict = {}
     get = acc.get
     for a, b in pairs:
+        if budget is not None:
+            wa, wb = (-(-(max([c.numerator.bit_length() for _, c in t]) + den.bit_length()) // 64)
+                      for t, den in ((a, da), (b, db)))
+            wd = -(-(da * db).bit_length() // 64) if da * db > 1 else 0
+            budget.spend(len(a) * len(b) * (1 + wa * wb + (wa + wb) * wd))
         b = [(m, c.numerator * (db // c.denominator)) for m, c in b]
         for (a0, a1, a2), c in a:
             ca = c.numerator * (da // c.denominator)
@@ -371,11 +382,11 @@ def _products(pairs: Iterable) -> tuple:
     return da * db, acc
 
 
-def _sum_of_products(pairs: Iterable) -> Poly:
+def _sum_of_products(pairs: Iterable, budget: StepBudget | None = None) -> Poly:
     """sum(a * b for a, b in pairs), exactly, with one Fraction per output term:
     the products are summed on integer numerators by _products, so only the
     output terms pay for a gcd, not every coefficient product."""
-    return _poly_over(*_products(pairs))
+    return _poly_over(*_products(pairs, budget))
 
 
 def _poly_over(den: int, acc: dict) -> Poly:
@@ -482,7 +493,10 @@ class StepBudget:
     __slots__ = ("remaining", "message")
 
     def __init__(self, limit: int, message: str = "reduction step budget exhausted"):
-        self.remaining = int(limit)
+        try:
+            self.remaining = index(limit)
+        except TypeError:
+            raise ValueError(f"step budget must be an integer, not {limit!r}") from None
         self.message = message
 
     def spend(self, steps: int = 1) -> None:
@@ -754,16 +768,19 @@ MAX_NESTING = 100
 
 # The limit of the parser's own StepBudget.  The user's budget bounds only
 # division, so without it a short text such as (x+1)^3000 or 3^200000000
-# could run unbounded.  Each product and power step spends, before it runs,
+# could run unbounded.  Each of the parser's products a * b, the squaring of
+# a power included, spends in the product kernel _products, before its
+# products are taken,
 # len(a.terms) * len(b.terms) * (1 + w_a * w_b + (w_a + w_b) * w_d)
 # with w_a, w_b the width in 64-bit words of the integer numerators the
-# product multiplies (the longest numerator of the operand plus the length
-# of the lcm of its denominators) and w_d the width of the product's common
-# denominator, 0 when both operands have integer coefficients: w_a * w_b
-# pays for the numerator products, (w_a + w_b) * w_d for the gcd of each
-# output term's Fraction.  So neither many small terms, nor few huge
-# coefficients, nor many distinct or long denominators escape the bound;
-# (x+1)^600 costs about 2,000,000.
+# kernel multiplies (the longest numerator of the operand plus the length
+# of the lcm of its denominators, which the kernel takes anyway) and w_d
+# the width of the product's common denominator, 0 when both operands have
+# integer coefficients: w_a * w_b pays for the numerator products,
+# (w_a + w_b) * w_d for the gcd of each output term's Fraction.  So neither
+# many small terms, nor few huge coefficients, nor many distinct or long
+# denominators escape the bound, and the charge is exactly what the
+# squaring spends; (x+1)^600 costs 1,997,207.
 MAX_PARSE_COST = 3_000_000
 _PARSE_EXHAUSTED = (f"parse phase: polynomial text costs more than {MAX_PARSE_COST} "
                     "coefficient word products to expand")
@@ -790,26 +807,6 @@ def _tokenize(text: str):
     return tokens
 
 
-def _coeff_words(p: Poly) -> tuple:
-    """(w, den): the widest integer numerator a product multiplies for p, in
-    64-bit words, and the lcm den of p's denominators.
-
-    _sum_of_products scales each coefficient of p to an integer numerator
-    over den, so the width is at most the longest numerator plus the length
-    of den.
-    """
-    bits = 0
-    den = 1
-    for _, c in p.terms:
-        n, d = c.as_integer_ratio()
-        b = n.bit_length()
-        if b > bits:
-            bits = b
-        if den % d:
-            den = lcm(den, d)
-    return -(-(bits + den.bit_length()) // 64), den
-
-
 class _PolyParser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -833,39 +830,19 @@ class _PolyParser:
         return self.take()
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        wa, da = _coeff_words(a)
-        wb, db = (wa, da) if b is a else _coeff_words(b)
-        d = da * db
-        wd = -(-d.bit_length() // 64) if d > 1 else 0
-        self.budget.spend(len(a.terms) * len(b.terms) * (1 + wa * wb + (wa + wb) * wd))
-        return a * b
+        return _sum_of_products(((a, b),), self.budget)
 
     def power(self, base: Poly, e: int) -> Poly:
-        """base^e, spending what repeated squaring through mul spends.
+        """base^e by repeated squaring through mul, which spends each product.
 
-        A one-term base c*m is raised as one exponent product and one
-        coefficient power.  The steps come from running the squaring on
-        the exponents k of the powers c^k alone, so no big number is built
-        before it is paid for: the numerator and denominator v^k of c^k have
-        floor(k log2 |v|) + 1 bits, taken in floating point (exact unless
-        k log2 |v| lies within rounding of an integer).
+        A one-term base with coefficient +-1 takes no product: each product
+        of its squaring would cost 1 + 1 * 1, so it spends 2 per product and
+        its power is built directly.
         """
-        if len(base.terms) != 1 or not e:
+        if not e or len(base.terms) != 1 or abs(base.terms[0][1]) != 1:
             return _power(base, e, self.mul)
         (m, c), = base.terms
-        n, d = c.as_integer_ratio()
-        ln, ld = log2(abs(n)), log2(d)
-
-        def mul_exponents(i, j):  # c^i * c^j, spent as mul spends it
-            wi, wj = (-(-(2 + int(k * ln) + int(k * ld)) // 64) for k in (i, j))
-            wd = -(-(1 + int((i + j) * ld)) // 64) if ld else 0
-            self.budget.spend(1 + wi * wj + (wi + wj) * wd)
-            return i + j
-
-        if ln or ld:
-            _power(1, e, mul_exponents)
-        else:  # c = +-1: each of the squaring's products costs 1 + 1 * 1
-            self.budget.spend(2 * (e.bit_count() + e.bit_length() - 2))
+        self.budget.spend(2 * (e.bit_count() + e.bit_length() - 2))
         return Poly._raw((((m[0] * e, m[1] * e, m[2] * e), c ** e),))
 
     def parse(self, quotient: bool = False) -> tuple:

@@ -41,6 +41,22 @@ def test_import_loads_neither_dataclasses_nor_typing():
     assert proc.stdout.split() == ["[]"]
 
 
+@pytest.mark.parametrize("command", ["check", "decompose", "localize", "verify"])
+def test_help_says_which_commands_read_trace_and_order(command):
+    # only decompose and localize print a trace, and only a plane or space
+    # curve has reductions for --order to order
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(out.getvalue().split())
+    assert "--order {lex,grlex} monomial order for the reductions of a plane or space curve" \
+        in text
+    traced = "--trace include construction intermediates in the output"
+    ignored = "--trace accepted and ignored: only decompose and localize print a trace"
+    assert (traced in text, ignored in text) == ((True, False) if command in
+                                                 ("decompose", "localize") else (False, True))
+
+
 def test_check_plane_ok():
     code, doc, err = run_cli("check", "--curve", "plane y^2 - x^3 - x")
     assert code == 0 and doc["status"] == "ok"

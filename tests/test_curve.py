@@ -315,6 +315,12 @@ def test_localized_elem_normalization():
     line = LocalizedLine(parse_poly("x"))
     with pytest.raises(ValueError, match="nonnegative"):
         line.elem(parse_poly("x"), -1)
+    # a count is read as an integer, never truncated or converted from text
+    for exponent in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            line.elem(parse_poly("x + 1"), exponent)
+    with pytest.raises(ValueError, match="step budget must be an integer"):
+        PlaneCurve(parse_poly("y^2 - x^3 - x"), max_steps="7")
     e = line.elem(parse_poly("x^3"), 2)
     assert e.numerator == parse_poly("x") and e.exponent == 0
     e = line.elem(parse_poly("x^2 + x"), 1)

@@ -380,8 +380,11 @@ def test_localize_decomp_preserves_length(rand_poly):
 def test_localize_decomp_validation():
     line = AffineLine()
     d = single_bracket_line(line.one())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         localize_decomp(d, parse_poly("x"), -1)
+    for k in (1.9, 2.0, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            localize_decomp(d, parse_poly("x"), k)
     loc_pairs = localize_decomp(d, parse_poly("x"), 1)
     with pytest.raises(CurveMismatch):
         localize_decomp(loc_pairs, parse_poly("x"), 1)

@@ -232,6 +232,8 @@ def test_buchberger_budget():
     gens = [parse_poly("x^2 + y"), parse_poly("x*y + x")]
     with pytest.raises(StepBudgetExceeded):
         buchberger(gens, max_steps=2)
+    with pytest.raises(ValueError, match="step budget must be an integer"):
+        buchberger(gens, max_steps=2.5)
     gb = buchberger(gens)
     assert gb.basis
 

@@ -69,6 +69,21 @@ def _budget_raise_sites(tree) -> set:
     return sites
 
 
+@pytest.mark.parametrize("name", sorted(_trees()))
+def test_no_floating_point(name):
+    # README: there is no floating point anywhere.  From math only the
+    # unbounded sentinel inf and the exact lcm and gcd are taken
+    for node in ast.walk(_trees()[name]):
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), ast.unparse(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id != "float", ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert "math" not in {a.name for a in node.names}, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            assert {a.name for a in node.names} <= {"inf", "lcm", "gcd"}, ast.unparse(node)
+
+
 def test_one_class_counts_every_bound():
     # every counted bound, the parser's included, is a StepBudget; the
     # output guard counts nothing, it reports the interpreter's digit limit

@@ -143,6 +143,12 @@ def test_parse_product_bound():
     assert len(expanded.terms) == 601 and expanded.coefficient((300, 0, 0)) == comb(600, 300)
     # integer coefficients have no common denominator to charge a gcd against
     assert MAX_PARSE_COST - parser.budget.remaining == 1_997_207
+    # a one-term power is charged what its squaring spends, exactly
+    for text, charge in (("3^40000", 375_534), ("(2/3)^30000", 2_070_127),
+                         ("(18446744073709551616/3)^1000", 478_653)):
+        parser = poly_module._PolyParser(poly_module._tokenize(text))
+        parser.parse()
+        assert MAX_PARSE_COST - parser.budget.remaining == charge, text
     for text, expected in (("(x - 2y + 1)^7", parse_poly("x - 2y + 1") ** 7),
                            ("(3x)^0", Poly.one()), ("2(x+1)^2", parse_poly("2x^2 + 4x + 2"))):
         assert parse_poly(text) == expected
@@ -171,9 +177,9 @@ def test_parse_coefficient_bits_bound():
 def test_parse_monomial_power_takes_no_product(monkeypatch):
     calls = []
 
-    def counting(pairs):
+    def counting(*args):
         calls.append(1)
-        return _sum_of_products(pairs)
+        return _sum_of_products(*args)
 
     monkeypatch.setattr(poly_module, "_sum_of_products", counting)
     assert parse_poly("x^1000000") == Poly.monomial((1_000_000, 0, 0))

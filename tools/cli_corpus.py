@@ -15,8 +15,8 @@ The cases, in order:
 - the ``cli`` benchmark workload cases of seeds 1 and 3 (``bench/workloads.py``,
   imported read-only);
 - one or more inputs per error code and exit code, over-long integer
-  literals among them, then cases for signs, rational cancellation, one-term
-  localization denominators, and each path of the localized line's
+  literals among them, then cases for one-term powers, signs, rational
+  cancellation, one-term localization denominators, and each path of the localized line's
   lowest-terms reduction at its smallest budget;
 - every ``decompose`` and ``localize`` case of the lists above again with
   ``--trace``;
@@ -66,6 +66,10 @@ ERROR_CASES = [
     ["decompose", "--curve", "line", "--target", "(x+1)^3000"],      # parse bound
     ["decompose", "--curve", "line", "--target",                    # a gcd per output term
      "(2/3)^30000*(" + " + ".join(f"{i + 2} x^{i}" for i in range(1000)) + ")"],
+    # one-term powers other than of a +-1 monomial, squared through the kernel
+    *(["decompose", "--curve", "line", "--target", target]
+      for target in ("3^200000000", "(2/3 x)^1000000", "(18446744073709551616/3)^65000",
+                     "(2/3)^30000 x", "(2/3 x)^7")),
     ["decompose", "--curve", "line", "--target", "x", "--max-steps", "-5"],  # invalid_input
     ["check", "--curve", "plane y^2 - x^3 - x", "--max-steps", "-5"],
     ["decompose", "--curve", "line minus x", "--target", "1 / x^1000", "--max-steps", "10"],
