@@ -243,6 +243,7 @@ class LocalizedLine(Curve):
         if self._member(denominator).is_constant():
             raise ValidationError("localization denominator must be nonconstant")
         self.denominator = denominator
+        StepBudget(max_steps)  # refuses a budget that is not an integer
         self.max_steps = max_steps
         self._key = (denominator,)
 
@@ -415,6 +416,7 @@ def parse_curve(text: str, *,
     `line minus <f>` has a repeated root, since its squarefree part defines
     the same open set.
     """
+    StepBudget(max_steps)  # refuses a budget that is not an integer, line included
     s = text.strip()
     if s == "line":
         return AffineLine()

@@ -11,7 +11,7 @@ ideal is exactly (1,), so its one row is the unit certificate.
 Normal forms need no quotients, so normal_form calls poly's one remainder
 entry, which the curves call themselves on the sums of products of a
 bracket or a ring product.  How coefficients are stored stays inside poly:
-this module reads only leading coefficients.
+this module reads only leading terms, packed monomials through poly's helpers.
 """
 
 from __future__ import annotations
@@ -23,14 +23,15 @@ from .poly import (
     MonomialOrder,
     Poly,
     StepBudget,
+    _leading,
+    _mono_divides,
+    _mono_key,
+    _mono_lcm,
+    _monomial,
     _Record,
     _remainder,
     _sum_of_products,
     divide_multivariate,
-    mono_coprime,
-    mono_divides,
-    mono_lcm,
-    mono_div,
 )
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -94,7 +95,7 @@ def _monic_remainder(p: Poly, base, divisors: list, rows: list, order: MonomialO
     quotients, rem = divide_multivariate(p, divisors, order, budget) if divisors else ((), p)
     if rem.is_zero():
         return None
-    inv = 1 / rem.leading_term(order)[1]
+    inv = 1 / _leading(rem, order)[1]
     terms = [(u * inv, row) for u, row in base]
     terms += [(q * -inv, row) for q, row in zip(quotients, rows) if q]
     return rem * inv, tuple(_sum_of_products((a, row[t]) for a, row in terms)
@@ -136,12 +137,12 @@ def buchberger(generators: Sequence[Poly],
     def join(p: Poly, row: tuple) -> None:
         nonlocal pairs
         t = len(polys)
-        lt = p.leading_term(order)
+        lt = _leading(p, order)
         lm = lt[0]
-        lcms = [mono_lcm(lk, lm) for lk, _ in lts]
+        lcms = [_mono_lcm(lk, lm) for lk, _ in lts]
         # criterion B on the waiting pairs
         waiting = [pr for pr in pairs
-                   if not (mono_divides(lm, pr[3]) and lcms[pr[1]] != pr[3]
+                   if not (_mono_divides(lm, pr[3]) and lcms[pr[1]] != pr[3]
                            and lcms[pr[2]] != pr[3])]
         if len(waiting) != len(pairs):
             pairs = waiting
@@ -149,12 +150,12 @@ def buchberger(generators: Sequence[Poly],
         # criteria M and F and the coprime rule on the new pairs
         groups: dict = {}
         for k, lcm in enumerate(lcms):
-            if any(other != lcm and mono_divides(other, lcm) for other in lcms):
+            if any(other != lcm and _mono_divides(other, lcm) for other in lcms):
                 continue
             groups.setdefault(lcm, []).append(k)
         for lcm, ks in groups.items():
-            if not any(mono_coprime(lts[k][0], lm) for k in ks):
-                heappush(pairs, (order.key(lcm), ks[0], t, lcm))
+            if not any(lcm == lts[k][0] + lm for k in ks):  # coprime
+                heappush(pairs, (_mono_key(lcm, order), ks[0], t, lcm))
         polys.append(p)
         rows.append(row)
         lts.append(lt)
@@ -169,8 +170,8 @@ def buchberger(generators: Sequence[Poly],
         _, i, j, lcm = heappop(pairs)
         lmi, lci = lts[i]
         lmj, lcj = lts[j]
-        ui = Poly.monomial(mono_div(lcm, lmi), 1 / lci)
-        uj = Poly.monomial(mono_div(lcm, lmj), -1 / lcj)
+        ui = _monomial(lcm - lmi, 1 / lci)
+        uj = _monomial(lcm - lmj, -1 / lcj)
         s = _sum_of_products(((ui, polys[i]), (uj, polys[j])))
         if s.is_zero():
             continue
@@ -179,11 +180,11 @@ def buchberger(generators: Sequence[Poly],
             join(*step)
 
     # minimal basis: drop elements whose leading monomial another divides
-    by_lm = sorted(range(len(polys)), key=lambda i: (order.key(lts[i][0]), i))
+    by_lm = sorted(range(len(polys)), key=lambda i: (_mono_key(lts[i][0], order), i))
     kept: list[int] = []
     for i in by_lm:
         lm = lts[i][0]
-        if any(mono_divides(lts[k][0], lm) for k in kept):
+        if any(_mono_divides(lts[k][0], lm) for k in kept):
             continue
         kept.append(i)
 
@@ -197,7 +198,7 @@ def buchberger(generators: Sequence[Poly],
                                     order, budget)
         final.append(MembershipCertificate(rem, gens, row))
 
-    final.sort(key=lambda c: order.key(c.target.leading_monomial(order)), reverse=True)
+    final.sort(key=lambda c: _mono_key(_leading(c.target, order)[0], order), reverse=True)
     return GroebnerBasis(gens, tuple(final), order)
 
 

@@ -3,7 +3,8 @@
 Coefficients are `fractions.Fraction` values, so every operation in this
 module is exact.  A polynomial is stored as a tuple of (monomial,
 coefficient) pairs with no zero coefficients, sorted descending in the
-lexicographic order; monomials are plain exponent triples (e_x, e_y, e_z).
+lexicographic order.  A monomial x^a y^b z^c is the int a | b << 64 | c << 128,
+so int order is LEX order; the public names give and take exponent triples.
 
 Only this module knows how terms and coefficients are stored, and only it
 spends step budgets: the other modules pass a StepBudget to its entries, and
@@ -47,32 +48,46 @@ from .errors import ParseError, StepBudgetExceeded
 VARIABLES = ("x", "y", "z")
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
-# A monomial is an exponent triple (e_x, e_y, e_z).
+# The public monomial: an exponent triple (e_x, e_y, e_z).
 Mono = tuple
 
 Scalar = int | Fraction
 
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True when a divides b, exponentwise."""
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """a / b; the caller guarantees divisibility."""
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+# The packed monomial e_x | e_y << W | e_z << 2W.  _GUARD holds each field's
+# top bit, clear in every monomial, so a sum of two carries into no field.
+_W = 64
+_FIELD = (1 << _W) - 1
+_GUARD = (1 | 1 << _W | 1 << 2 * _W) << _W - 1
+_MONOS = (1 << 3 * _W) - 1
+_BOUND = f"monomial exponents must be below 2^{_W - 1}"
 
 
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
+def _pack(ex: int, ey: int, ez: int) -> int:
+    """The monomial of int exponents; ValueError below 0 or from 2^63 on."""
+    if (u := ex | ey | ez) >> _W - 1:  # so is a negative u, from any negative exponent
+        raise ValueError(_BOUND if u >= 0 else "monomial exponents must be nonnegative")
+    return ex | ey << _W | ez << 2 * _W
 
 
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    return min(a[0], b[0]) == 0 and min(a[1], b[1]) == 0 and min(a[2], b[2]) == 0
+def _unpack(m: int) -> Mono:
+    return (m & _FIELD, m >> _W & _FIELD, m >> 2 * _W)
 
 
-def _term_key(term):  # the canonical order sorts descending by it: LEX of the monomial
-    return term[0][::-1]
+def _mono_divides(a: int, b: int) -> bool:
+    """True when a divides b: (b | G) - a clears the guard where b is smaller."""
+    return ((b | _GUARD) - a) & _GUARD == _GUARD
+
+
+def _mono_lcm(a: int, b: int) -> int:
+    """The exponentwise max: the guards left by (a | G) - b mark the fields of a."""
+    ge = ((a | _GUARD) - b) & _GUARD
+    return b ^ ((a ^ b) & (ge - (ge >> _W - 1)))
+
+
+def _mono_key(m: int, order: MonomialOrder) -> int:
+    """The int sort key of a monomial: itself, under GRLEX below its degree."""
+    return m if order is MonomialOrder.LEX else (
+        (m & _FIELD) + (m >> _W & _FIELD) + (m >> 2 * _W)) << 3 * _W | m
 
 
 def _scalar(x) -> bool:
@@ -134,29 +149,27 @@ class _Record:
 class Poly:
     """An exact polynomial in Q[x, y, z].
 
-    `terms` is a tuple of (monomial, coefficient) pairs sorted descending in
-    the lexicographic order, with no zero coefficients; the zero polynomial
-    has an empty tuple.  Instances are immutable and hashable, and equality
-    is structural.
+    `terms` is a tuple of (exponent triple, coefficient) pairs sorted
+    descending in the lexicographic order, with no zero coefficients; the
+    zero polynomial has an empty tuple.  Instances are immutable and
+    hashable, and equality is structural.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable = ()):
         acc: dict = {}
         for mono, coeff in terms:
             try:
-                mono = (index(mono[0]), index(mono[1]), index(mono[2]))
+                m = _pack(index(mono[0]), index(mono[1]), index(mono[2]))
             except TypeError:
                 raise ValueError("monomial exponents must be integers") from None
-            if mono[0] < 0 or mono[1] < 0 or mono[2] < 0:
-                raise ValueError("monomial exponents must be nonnegative")
-            c = acc.get(mono, 0) + Fraction(coeff)
+            c = acc.get(m, 0) + Fraction(coeff)
             if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
-        self.terms = tuple(sorted(acc.items(), key=_term_key, reverse=True))
+                acc[m] = c
+            elif m in acc:
+                del acc[m]
+        self._terms = tuple(sorted(acc.items(), reverse=True))
 
     @classmethod
     def _raw(cls, terms: tuple) -> "Poly":
@@ -167,8 +180,12 @@ class Poly:
         tuple free lists and raise peak memory.
         """
         p = object.__new__(cls)
-        p.terms = terms
+        p._terms = terms
         return p
+
+    @property
+    def terms(self) -> tuple:  # unpacked from the packed monomials on each read
+        return tuple([(_unpack(m), c) for m, c in self._terms])
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -183,14 +200,13 @@ class Poly:
         c = Fraction(value)
         if not c:
             return _ZERO
-        return cls._raw((((0, 0, 0), c),))
+        return cls._raw(((0, c),))
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}")
-        mono = tuple(1 if i == _VAR_INDEX[name] else 0 for i in range(3))
-        return cls._raw(((mono, Fraction(1)),))
+        return cls._raw(((1 << _W * _VAR_INDEX[name], Fraction(1)),))
 
     @classmethod
     def monomial(cls, mono: Mono, coeff: Scalar = 1) -> "Poly":
@@ -199,16 +215,16 @@ class Poly:
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == (0, 0, 0))
+        return not self._terms or (len(self._terms) == 1 and self._terms[0][0] == 0)
 
     def as_constant(self) -> Fraction:
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
         if self.is_constant():
-            return self.terms[0][1]
+            return self._terms[0][1]
         raise ValueError(f"{self} is not constant")
 
     def uses_only(self, names: Sequence[str]) -> bool:
@@ -219,29 +235,25 @@ class Poly:
         when no term has z, the largest y exponent: for the rings of x and
         of x and y, the first term decides.
         """
-        if not self.terms:
+        if not self._terms:
             return True
-        lead = self.terms[0][0]
-        if "z" not in names and lead[2]:
+        lead = self._terms[0][0]
+        if "z" not in names and lead >> 2 * _W:
             return False
-        if "y" not in names and (any(m[1] for m, _ in self.terms) if "z" in names
-                                 else lead[1]):
+        if "y" not in names and (any(m >> _W & _FIELD for m, _ in self._terms) if "z" in names
+                                 else lead >> _W):
             return False
-        return "x" in names or not any(m[0] for m, _ in self.terms)
+        return "x" in names or not any(m & _FIELD for m, _ in self._terms)
 
     def coefficient(self, mono: Mono) -> Fraction:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
+        return next((c for m, c in self.terms if m == mono), Fraction(0))
 
     def leading_term(self, order: MonomialOrder = MonomialOrder.LEX):
         """(monomial, coefficient) maximal under order; errors on zero."""
-        if not self.terms:
+        if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
-        if order is MonomialOrder.LEX:
-            return self.terms[0]
-        return max(self.terms, key=lambda t: order.key(t[0]))
+        m, c = _leading(self, order)
+        return _unpack(m), c
 
     def leading_monomial(self, order: MonomialOrder = MonomialOrder.LEX) -> Mono:
         return self.leading_term(order)[0]
@@ -255,7 +267,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(tuple([(m, -c) for m, c in self.terms]))
+        return Poly._raw(tuple([(m, -c) for m, c in self._terms]))
 
     def __sub__(self, other):
         other = _operand(other)
@@ -272,7 +284,7 @@ class Poly:
             return NotImplemented
         if not other:
             return _ZERO
-        return Poly._raw(tuple([(m, c * other) for m, c in self.terms]))
+        return Poly._raw(tuple([(m, c * other) for m, c in self._terms]))
 
     __rmul__ = __mul__
 
@@ -283,20 +295,20 @@ class Poly:
 
     def __eq__(self, other):
         other = _operand(other)
-        return NotImplemented if other is None else self.terms == other.terms
+        return NotImplemented if other is None else self._terms == other._terms
 
     def __hash__(self):
         # a constant equals its value, so it hashes as that value
-        return hash(self.as_constant()) if self.is_constant() else hash(self.terms)
+        return hash(self.as_constant()) if self.is_constant() else hash(self._terms)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         out = []
-        for i, (mono, coeff) in enumerate(self.terms):
+        for i, (mono, coeff) in enumerate(self._terms):
             mstr = _format_mono(mono)
             neg = coeff < 0
             mag = -coeff if neg else coeff
@@ -317,7 +329,18 @@ class Poly:
 
 
 _ZERO = Poly._raw(())
-_ONE = Poly._raw((((0, 0, 0), Fraction(1)),))
+_ONE = Poly._raw(((0, Fraction(1)),))
+
+
+def _leading(p: Poly, order: MonomialOrder) -> tuple:
+    """(monomial, coefficient) of the nonzero p maximal under order."""
+    return p._terms[0] if order is MonomialOrder.LEX else max(
+        p._terms, key=lambda t: _mono_key(t[0], order))
+
+
+def _monomial(m: int, c: Fraction) -> Poly:
+    """The Poly c * m of a monomial and a nonzero Fraction."""
+    return Poly._raw(((m, c),))
 
 
 def _operand(x):
@@ -333,16 +356,16 @@ def _signed_sum(operands: Iterable) -> Poly:
     acc: dict = {}
     for positive, p in operands:
         if positive and not acc:
-            acc.update(p.terms)
+            acc.update(p._terms)
             continue
-        for m, c in p.terms:
+        for m, c in p._terms:
             v = acc.get(m)
             if v is None:
                 acc[m] = c if positive else -c
             else:  # may cancel to zero, dropped at the end
                 acc[m] = v + c if positive else v - c
     terms = [t for t in acc.items() if t[1]]
-    terms.sort(key=_term_key, reverse=True)
+    terms.sort(reverse=True)
     return Poly._raw(tuple(terms))
 
 
@@ -355,14 +378,14 @@ def _products(pairs: Iterable, budget: StepBudget | None = None) -> tuple:
     {monomial: numerator} dict acc, which may keep zeros where terms cancel.
     Only the parser passes a budget: each pair, a product with one included,
     then spends the parse cost rule of MAX_PARSE_COST before its products
-    are taken.
+    are taken.  A product monomial past the exponent bound is a ValueError.
     """
-    pairs = [(a.terms, b.terms) for a, b in pairs if a.terms and b.terms]
+    pairs = [(a._terms, b._terms) for a, b in pairs if a._terms and b._terms]
     # sets: lcm gets the few distinct denominators, not an argument tuple
     # as long as the polynomials (such tuples linger in the interpreter's
     # free lists and raise peak memory)
     da = lcm(*{c.denominator for a, _ in pairs for _, c in a})
-    if budget is None and len(pairs) == 1 and pairs[0][1] is _ONE.terms:  # a Poly alone
+    if budget is None and len(pairs) == 1 and pairs[0][1] is _ONE._terms:  # a Poly alone
         return da, {m: c.numerator * (da // c.denominator) for m, c in pairs[0][0]}
     db = lcm(*{c.denominator for _, b in pairs for _, c in b})
     acc: dict = {}
@@ -374,11 +397,13 @@ def _products(pairs: Iterable, budget: StepBudget | None = None) -> tuple:
             wd = -(-(da * db).bit_length() // 64) if da * db > 1 else 0
             budget.spend(len(a) * len(b) * (1 + wa * wb + (wa + wb) * wd))
         b = [(m, c.numerator * (db // c.denominator)) for m, c in b]
-        for (a0, a1, a2), c in a:
+        for ma, c in a:
             ca = c.numerator * (da // c.denominator)
-            for (b0, b1, b2), cb in b:
-                m = (a0 + b0, a1 + b1, a2 + b2)
+            for mb, cb in b:
+                m = ma + mb
                 acc[m] = get(m, 0) + ca * cb
+    if any(m & _GUARD for m in acc):
+        raise ValueError(_BOUND)
     return da * db, acc
 
 
@@ -393,7 +418,7 @@ def _poly_over(den: int, acc: dict) -> Poly:
     """The Poly sum(acc[m] / den * m) of int numerators, or Fractions where a
     division step made them; zeros are dropped before any Fraction is built."""
     terms = [(m, Fraction(n, den)) for m, n in acc.items() if n]
-    terms.sort(key=_term_key, reverse=True)
+    terms.sort(reverse=True)
     return Poly._raw(tuple(terms))
 
 
@@ -410,9 +435,9 @@ def _power(base, e: int, mul):
     return _ONE if result is None else result
 
 
-def _format_mono(mono: Mono) -> str:
+def _format_mono(m: int) -> str:
     parts = []
-    for name, e in zip(VARIABLES, mono):
+    for name, e in zip(VARIABLES, _unpack(m)):
         if e == 1:
             parts.append(name)
         elif e > 1:
@@ -446,27 +471,23 @@ def partial_derivative(p: Poly, var: str) -> Poly:
     preserves both monomial orders, so the terms come out in canonical
     order and need no re-sort.
     """
-    idx = _VAR_INDEX[var]
-    return Poly._raw(tuple([(_shift(m, idx, -1), c * m[idx]) for m, c in p.terms if m[idx]]))
+    shift = _W * _VAR_INDEX[var]
+    one = 1 << shift
+    return Poly._raw(tuple([(m - one, c * e) for m, c in p._terms if (e := m >> shift & _FIELD)]))
 
 
 def antiderivative(p: Poly, var: str) -> Poly:
     """The antiderivative of p in var with zero constant term.
 
     Raising one exponent by one preserves canonical order, as in
-    partial_derivative.
+    partial_derivative; an exponent raised to 2^63 is a ValueError.
     """
-    idx = _VAR_INDEX[var]
-    return Poly._raw(tuple([(_shift(m, idx, 1), c / (m[idx] + 1)) for m, c in p.terms]))
-
-
-def _shift(m: Mono, idx: int, by: int) -> Mono:
-    """m with exponent idx changed by `by`; one branch per index beats slicing."""
-    if idx == 0:
-        return (m[0] + by, m[1], m[2])
-    if idx == 1:
-        return (m[0], m[1] + by, m[2])
-    return (m[0], m[1], m[2] + by)
+    shift = _W * _VAR_INDEX[var]
+    one = 1 << shift
+    terms = [(m + one, c / ((m >> shift & _FIELD) + 1)) for m, c in p._terms]
+    if any(m & _GUARD for m, _ in terms):
+        raise ValueError(_BOUND)
+    return Poly._raw(tuple(terms))
 
 
 def apply_derivation(components: Sequence[Poly], p: Poly) -> Poly:
@@ -480,7 +501,7 @@ def apply_derivation(components: Sequence[Poly], p: Poly) -> Poly:
 def _derivation_pairs(components: Sequence[Poly], p: Poly) -> list:
     """The (component, partial derivative) products apply_derivation sums."""
     return [(comp, partial_derivative(p, var))
-            for comp, var in zip(components, VARIABLES) if comp.terms]
+            for comp, var in zip(components, VARIABLES) if comp._terms]
 
 
 # -- division ---------------------------------------------------------------
@@ -505,21 +526,11 @@ class StepBudget:
             raise StepBudgetExceeded(self.message)
 
 
-# Negated order keys: heapq pops its least entry, which is then the largest
-# monomial under the order.
-def _lex_heap_key(m: Mono):
-    return (-m[2], -m[1], -m[0])
-
-
-def _grlex_heap_key(m: Mono):
-    return (-m[0] - m[1] - m[2], -m[2], -m[1], -m[0])
-
-
 def _division_heads(divisors: Sequence[Poly], order: MonomialOrder) -> list:
     """One (leading monomial, leading coefficient, tail) per nonzero divisor,
     for _divide: integer tail coefficients are ints, the others Fractions, and
     a leading coefficient is the int 1 or a Fraction, so lc / dc is exact."""
-    heads = [(d.leading_term(order), d.terms) for d in divisors]
+    heads = [(_leading(d, order), d._terms) for d in divisors]
     return [(dm, 1 if dc == 1 else dc,
              [(m, c.numerator if c.denominator == 1 else c) for m, c in terms if m != dm])
             for (dm, dc), terms in heads]
@@ -535,14 +546,15 @@ def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | N
     until a leading coefficient other than 1 or a Fraction in a tail turns
     the values it touches into Fractions.  Zero entries spend no step.
     """
-    heap_key = _lex_heap_key if order is MonomialOrder.LEX else _grlex_heap_key
+    lex = order is MonomialOrder.LEX
     rem: dict = {}
     # the budget counts down in a local, written back when the loop ends
     left = inf if budget is None else budget.remaining
-    heap = [(heap_key(m), m) for m in acc]
+    # negated order keys, so the least pops first; a GRLEX key ends in m
+    heap = [-m if lex else -_mono_key(m, order) for m in acc]
     heapify(heap)
     while heap:
-        lm = heappop(heap)[1]
+        lm = -heappop(heap) & _MONOS
         # a popped monomial is never recreated: later steps only touch
         # monomials below it, so it leaves the dict for good
         lc = acc.pop(lm)
@@ -552,20 +564,22 @@ def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | N
         if left < 0:
             budget.remaining = 0
             budget.spend()  # raises StepBudgetExceeded
+        guarded = lm | _GUARD
         for i, (dm, dc, tail) in enumerate(heads):
-            if mono_divides(dm, lm):
-                qm = mono_div(lm, dm)
+            if (guarded - dm) & _GUARD == _GUARD:  # dm divides lm
+                qm = lm - dm
                 qc = lc if dc == 1 else lc / dc
                 if quotients is not None:
                     # leading monomials only fall, so qm is new to this quotient
                     quotients[i][qm] = qc
-                q0, q1, q2 = qm
-                for (t0, t1, t2), tc in tail:
-                    m = (q0 + t0, q1 + t1, q2 + t2)
+                for t, tc in tail:
+                    m = qm + t
                     v = acc.get(m)
                     if v is None:
+                        if m & _GUARD:
+                            raise ValueError(_BOUND)
                         acc[m] = -(qc * tc)
-                        heappush(heap, (heap_key(m), m))
+                        heappush(heap, -m if lex else -_mono_key(m, order))
                     else:
                         # may cancel to zero; the heap entry is skipped when popped
                         acc[m] = v - qc * tc
@@ -635,11 +649,11 @@ def _residues(p: Poly):
     with one entry per degree to cost at most about twice its terms, so
     that x^120000 never becomes a list.
     """
-    deg = p.terms[0][0][0]
-    if deg > 2 * len(p.terms) + 8:
+    deg = p._terms[0][0]  # a monomial in x alone is its exponent
+    if deg > 2 * len(p._terms) + 8:
         return None
     res = [0] * (deg + 1)
-    for (e, _, _), c in p.terms:
+    for e, c in p._terms:
         n, d = c.as_integer_ratio()
         if d != 1:
             if not d % _P:
@@ -731,18 +745,18 @@ def _divide_out(p: Poly, f: Poly, most, budget: StepBudget) -> tuple:
       P, the exact count unless an exact one is a nonzero multiple of P.
     * Any other trial runs the exact division, so every j kept is exact.
     """
-    if len(f.terms) == 1:
-        ((e, _, _), c), = f.terms
-        terms = p.terms
-        j = min(most, min((m[0] for m, _ in terms), default=0) // e)
-        constant = len(terms) == 1 and terms[0][0] == (j * e, 0, 0)
+    if len(f._terms) == 1:  # in x alone, a monomial is its exponent
+        (e, c), = f._terms
+        terms = p._terms
+        j = min(most, min((m for m, _ in terms), default=0) // e)
+        constant = len(terms) == 1 and terms[0][0] == j * e
         budget.spend(len(terms) * (j + (j < most and not constant)))
         cj = c ** j
-        return Poly._raw(tuple([((m[0] - j * e, m[1], m[2]), v / cj) for m, v in terms])), j
+        return Poly._raw(tuple([(m - j * e, v / cj) for m, v in terms])), j
     j = 0
     while j < most and not p.is_constant():
-        if p.terms[0][0][0] < f.terms[0][0][0]:
-            budget.spend(len(p.terms))
+        if p._terms[0][0] < f._terms[0][0]:
+            budget.spend(len(p._terms))
             break
         a = _residues(p)
         b = None if a is None else _residues(f)
@@ -839,23 +853,26 @@ class _PolyParser:
         of its squaring would cost 1 + 1 * 1, so it spends 2 per product and
         its power is built directly.
         """
-        if not e or len(base.terms) != 1 or abs(base.terms[0][1]) != 1:
+        if not e or len(base._terms) != 1 or abs(base._terms[0][1]) != 1:
             return _power(base, e, self.mul)
-        (m, c), = base.terms
+        (m, c), = base._terms
         self.budget.spend(2 * (e.bit_count() + e.bit_length() - 2))
-        return Poly._raw((((m[0] * e, m[1] * e, m[2] * e), c ** e),))
+        return Poly._raw(((_pack(*[f * e for f in _unpack(m)]), c ** e),))
 
     def parse(self, quotient: bool = False) -> tuple:
         """(polynomial, None) of the text; with quotient, one top-level '/'
         may follow the polynomial, and the one after it is the denominator."""
         if not self.tokens:
             raise ParseError("empty polynomial text")
-        num, den = self.expr(), None
-        if quotient and self.peek() == "/":
-            self.take()
-            # the denominator is its own polynomial text, with its own budget
-            self.budget = StepBudget(MAX_PARSE_COST, _PARSE_EXHAUSTED)
-            den = self.expr()
+        try:
+            num, den = self.expr(), None
+            if quotient and self.peek() == "/":
+                self.take()
+                # the denominator is its own polynomial text, with its own budget
+                self.budget = StepBudget(MAX_PARSE_COST, _PARSE_EXHAUSTED)
+                den = self.expr()
+        except ValueError as exc:  # a monomial exponent past the bound
+            raise ParseError(str(exc)) from None
         if self.pos != len(self.tokens):
             kind = self.tokens[self.pos][1]
             raise ParseError(f"unexpected {kind!r} after polynomial")

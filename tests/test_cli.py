@@ -234,6 +234,17 @@ def test_overlong_literal_is_parse_error(target):
     assert "longer than" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("target, code", [
+    ("x^9223372036854775808", "parse_error"),
+    ("(x^4294967296)^4294967296", "parse_error"),
+    ("x^9223372036854775807", "invalid_input"),  # parses; its antiderivative does not fit
+])
+def test_exponent_past_the_bound_exits_2(target, code):
+    status, doc, err = run_cli("decompose", "--curve", "line", "--target", target)
+    assert status == 2 and doc["error"] == {"code": code,
+                                            "message": "monomial exponents must be below 2^63"}
+
+
 def test_non_decimal_digit_is_parse_error():
     code, doc, err = run_cli("decompose", "--curve", "line", "--target", "x²")
     assert code == 2 and doc["error"]["code"] == "parse_error"

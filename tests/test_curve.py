@@ -311,6 +311,21 @@ def test_localized_line_validation():
                         parse_poly("(x - 1)^2*(x + 2)"), 2)
 
 
+@pytest.mark.parametrize("max_steps", [2.5, "7", 7.0])
+def test_every_curve_refuses_a_step_budget_that_is_not_an_integer(max_steps):
+    # the line never spends its budget and the localized line spends it
+    # only in elem, yet both refuse it when built, as the other curves do
+    constructors = [lambda: parse_curve("line", max_steps=max_steps),
+                    lambda: parse_curve("line minus x", max_steps=max_steps),
+                    lambda: LocalizedLine(parse_poly("x"), max_steps=max_steps),
+                    lambda: parse_curve("plane y^2 - x^3 - x", max_steps=max_steps),
+                    lambda: parse_curve("space y - x^2; z - x^3 tau 1, 2x, 3x^2",
+                                        max_steps=max_steps)]
+    for build in constructors:
+        with pytest.raises(ValueError, match="step budget must be an integer"):
+            build()
+
+
 def test_localized_elem_normalization():
     line = LocalizedLine(parse_poly("x"))
     with pytest.raises(ValueError, match="nonnegative"):

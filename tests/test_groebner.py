@@ -30,10 +30,6 @@ from bracketdec.poly import (
     _remainder,
     _sum_of_products,
     divide_multivariate,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
     parse_poly,
     partial_derivative,
 )
@@ -42,6 +38,24 @@ LEX = MonomialOrder.LEX
 GRLEX = MonomialOrder.GRLEX
 
 X, Y, Z = sympy.symbols("x y z")
+
+
+# -- exponent-triple references of the packed monomial operations -----------
+
+def mono_divides(a, b):
+    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+
+def mono_div(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def mono_lcm(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
+
+
+def mono_coprime(a, b):
+    return min(a[0], b[0]) == 0 and min(a[1], b[1]) == 0 and min(a[2], b[2]) == 0
 
 
 def to_sympy(p: Poly):
@@ -495,7 +509,6 @@ def test_certificates_frozen(order):
 
 def test_spolynomial_reduction_invariant(rand_poly):
     # every S-polynomial of basis pairs reduces to zero: the defining property
-    from bracketdec.poly import mono_div, mono_lcm
     for gens in _ideal_pool(rand_poly)[:10]:
         gb = buchberger(gens)
         basis = list(gb.basis)

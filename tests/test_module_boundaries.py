@@ -1,5 +1,8 @@
 """How Poly stores its terms and coefficients is known to poly.py alone,
 and so is every charge to a step budget, which one class counts and raises.
+Packed monomials, the ints that stand for exponent triples, are seen by
+poly.py and by groebner.py, which reads leading monomials through poly's
+helpers; every other module sees exponent triples.
 
 The other modules build and read polynomials through poly's public names,
 its one scalar rule and its division and product entry points, so a change
@@ -17,6 +20,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bracketdec"
 
 # the helpers that take or give integer numerators over a common denominator
 _FORMAT_HELPERS = {"_products", "_poly_over", "_division_heads", "_divide"}
+# the helpers that take or give packed monomials, the ints poly.py stores
+_PACKED_HELPERS = {"_pack", "_unpack", "_leading", "_monomial", "_mono_divides",
+                   "_mono_lcm", "_mono_key"}
 
 
 def _trees() -> dict:
@@ -47,7 +53,22 @@ def test_no_other_module_reaches_into_the_format(name):
 def test_no_other_module_reads_terms_or_spends_steps(name):
     for node in ast.walk(_trees()[name]):
         if isinstance(node, ast.Attribute):
-            assert node.attr not in {"terms", "spend", "remaining"}, ast.unparse(node)
+            assert node.attr not in {"terms", "_terms", "spend", "remaining"}, ast.unparse(node)
+
+
+def test_packed_helpers_are_poly_functions():
+    defined = {node.name for node in _trees()["poly.py"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert _PACKED_HELPERS <= defined
+
+
+@pytest.mark.parametrize("name", sorted(set(_trees()) - {"poly.py", "groebner.py"}))
+def test_only_groebner_sees_packed_monomials(name):
+    for node in ast.walk(_trees()[name]):
+        if isinstance(node, ast.ImportFrom):
+            assert not {a.name for a in node.names} & _PACKED_HELPERS, ast.unparse(node)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in _PACKED_HELPERS, ast.unparse(node)
 
 
 def _budget_raise_sites(tree) -> set:

@@ -23,8 +23,6 @@ from bracketdec.poly import (
     divide_multivariate,
     gcd_univariate,
     _sum_of_products,
-    mono_div,
-    mono_divides,
     parse_poly,
     partial_derivative,
 )
@@ -35,6 +33,99 @@ GRLEX = MonomialOrder.GRLEX
 _coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 _monos = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2))
 polys = st.lists(st.tuples(_monos, _coeffs), max_size=6).map(Poly)
+
+
+# -- exponent-triple references of the packed monomial operations -----------
+
+def mono_divides(a, b):
+    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+
+def mono_div(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def mono_lcm(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
+
+
+def mono_coprime(a, b):
+    return min(a[0], b[0]) == 0 and min(a[1], b[1]) == 0 and min(a[2], b[2]) == 0
+
+
+# -- the packed monomial format ---------------------------------------------
+
+_BOUND = 2 ** 63  # every exponent stays below it
+# small exponents, and exponents near half the bound and near the bound,
+# on both sides of it
+_exponents = st.one_of(st.integers(0, 5), st.integers(_BOUND // 2 - 3, _BOUND // 2 + 3),
+                       st.integers(_BOUND - 4, _BOUND + 4))
+_triples = st.tuples(_exponents, _exponents, _exponents)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_triples, _triples)
+def test_packed_monomials_match_exponent_triples(a, b):
+    pm = poly_module
+    if max(a) >= _BOUND:
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            pm._pack(*a)
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            Poly.monomial(a)
+        return
+    pa = pm._pack(*a)
+    assert pm._unpack(pa) == a and Poly.monomial(a).terms == ((a, 1),)
+    for order in (LEX, GRLEX):
+        assert pm._leading(Poly.monomial(a), order) == (pa, 1)
+    for var, idx in zip("xyz", range(3)):
+        up = tuple(e + (i == idx) for i, e in enumerate(a))
+        if a[idx]:
+            down = tuple(e - (i == idx) for i, e in enumerate(a))
+            assert partial_derivative(Poly.monomial(a), var) == Poly.monomial(down, a[idx])
+        if up[idx] < _BOUND:
+            assert antiderivative(Poly.monomial(a), var) == Poly.monomial(up, Fraction(1, up[idx]))
+        else:
+            with pytest.raises(ValueError, match="below 2\\^63"):
+                antiderivative(Poly.monomial(a), var)
+    if max(b) >= _BOUND:
+        return
+    pb = pm._pack(*b)
+    product = tuple(x + y for x, y in zip(a, b))
+    if max(product) < _BOUND:
+        assert pm._unpack(pa + pb) == product
+        assert Poly.monomial(a) * Poly.monomial(b) == Poly.monomial(product)
+    else:
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            Poly.monomial(a) * Poly.monomial(b)
+    assert pm._mono_divides(pa, pb) == mono_divides(a, b)
+    if mono_divides(a, b):
+        assert pm._unpack(pb - pa) == mono_div(b, a)
+    assert pm._unpack(pm._mono_lcm(pa, pb)) == mono_lcm(a, b)
+    # Buchberger's coprime test: the lcm is the product
+    assert (pm._mono_lcm(pa, pb) == pa + pb) == mono_coprime(a, b)
+    for order in (LEX, GRLEX):
+        ka, kb = pm._mono_key(pa, order), pm._mono_key(pb, order)
+        assert (ka < kb, ka == kb) == (order.key(a) < order.key(b), a == b)
+
+
+def test_every_new_monomial_is_checked_against_the_bound():
+    top = _BOUND - 1
+    # the largest exponent parses, prints and multiplies as any other
+    p = parse_poly(f"x^{top} + y")
+    assert p.coefficient((top, 0, 0)) == 1 and str(p) == f"y + x^{top}"
+    assert parse_poly(f"(x^{top // 3})^3 * z^{top}").terms == (((top - top % 3, 0, top), 1),)
+    # one more is a parse error, by the one-term power or by a product
+    for text in (f"x^{_BOUND}", "(x^4294967296)^4294967296", f"x^{top} * x",
+                 f"(2y^{top // 2 + 1})^2", f"x / y^{_BOUND}"):
+        with pytest.raises(ParseError, match="below 2\\^63"):
+            poly_module._parse_quotient(text)
+    # elsewhere a ValueError: a product, a power, a new term of a division
+    # (x^top y reduced by y - x^5 makes x^(top + 5)) and an antiderivative
+    for make in (lambda: p * parse_poly("x"), lambda: p ** 2,
+                 lambda: divide_multivariate(parse_poly(f"x^{top} y"), [parse_poly("y - x^5")]),
+                 lambda: antiderivative(p, "x")):
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            make()
 
 
 # -- construction and formatting --------------------------------------------

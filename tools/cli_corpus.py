@@ -15,9 +15,10 @@ The cases, in order:
 - the ``cli`` benchmark workload cases of seeds 1 and 3 (``bench/workloads.py``,
   imported read-only);
 - one or more inputs per error code and exit code, over-long integer
-  literals among them, then cases for one-term powers, signs, rational
-  cancellation, one-term localization denominators, and each path of the localized line's
-  lowest-terms reduction at its smallest budget;
+  literals and exponents at the bound of 2^63 among them, then cases for
+  one-term powers, signs, rational cancellation, one-term localization
+  denominators, and each path of the localized line's lowest-terms
+  reduction at its smallest budget;
 - every ``decompose`` and ``localize`` case of the lists above again with
   ``--trace``;
 - 400 argument lists drawn from ``random.Random(13)``.
@@ -57,6 +58,13 @@ ERROR_CASES = [
     ["decompose", "--curve", "line", "--target", "9" * 5000 + " x"],  # coefficient
     ["decompose", "--curve", "line", "--target", "x + 1/" + "9" * 5000],  # denominator
     ["decompose", "--curve", "line", "--target", "x^" + "9" * 5000],  # exponent
+    # exponents at the bound of 2^63: the largest parses, one more does not,
+    # and an antiderivative or a power of a power may cross it
+    ["decompose", "--curve", "line", "--target", "x^9223372036854775806"],
+    ["decompose", "--curve", "line", "--target", "x^9223372036854775807"],  # invalid_input
+    ["decompose", "--curve", "line", "--target", "x^9223372036854775808"],  # parse_error
+    ["decompose", "--curve", "line", "--target", "(x^4294967296)^4294967296"],
+    ["check", "--curve", "line minus x^9223372036854775807 - 1"],
     ["decompose", "--curve", "line minus x", "--target", "1 / y"],   # parse_error
     ["decompose", "--curve", "line minus x", "--target", "x / 2x"],  # a number after '/'
     ["decompose", "--curve", "line minus x + 1", "--target", "(x+1) / 2(x+1)^2"],
