@@ -40,7 +40,6 @@ from .errors import (
     ZeroTau,
 )
 from .groebner import (
-    DEFAULT_MAX_STEPS,
     GroebnerBasis,
     MembershipCertificate,
     buchberger,
@@ -49,8 +48,10 @@ from .groebner import (
 )
 from .liealg import BracketDecomp, VField, apply_tau, bracket, recombine
 from .poly import (
+    DEFAULT_MAX_STEPS,
     MonomialOrder,
     Poly,
+    StepBudget,
     antiderivative,
     apply_derivation,
     divide_multivariate,
@@ -66,7 +67,7 @@ __all__ = [
     "CertificateFailure", "CurveMismatch", "DEFAULT_MAX_STEPS",
     "DoesNotPreserveIdeal", "GroebnerBasis", "LocalizedElem", "LocalizedLine",
     "MembershipCertificate", "MonomialOrder", "NotSmooth", "ParseError",
-    "PlaneCurve", "Poly", "RingElem", "SpaceCurve", "StepBudgetExceeded",
+    "PlaneCurve", "Poly", "RingElem", "SpaceCurve", "StepBudget", "StepBudgetExceeded",
     "UnitCertificateAbsent", "VField", "ValidationError", "ZeroTau",
     "antiderivative", "apply_derivation", "apply_tau", "bracket", "buchberger",
     "certificate_from_basis", "divide_multivariate", "gcd_univariate",

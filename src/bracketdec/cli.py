@@ -24,9 +24,8 @@ from .decompose import (
     two_bracket_plane,
 )
 from .errors import BracketDecError, ParseError, ValidationError
-from .groebner import DEFAULT_MAX_STEPS
 from .liealg import BracketDecomp, VField, recombine
-from .poly import MonomialOrder
+from .poly import DEFAULT_MAX_STEPS, MonomialOrder, StepBudget
 
 
 def _cert_doc(cert) -> dict:
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="monomial order for the reductions of a plane or space curve "
                             "(default lex); a line ignores it")
         p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
-                       metavar="N", help="reduction step budget")
+                       metavar="N", help="reduction step budget of the whole run")
         p.add_argument("--trace", action="store_true",
                        help="include construction intermediates in the output" if traced
                        else "accepted and ignored: only decompose and localize print a trace")
@@ -176,10 +175,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ParseError(f"--{name.replace('_', '-')} needs a value other than '--'")
         if args.max_steps < 0:
             raise ValueError(f"--max-steps must be nonnegative, not {args.max_steps}")
-        curve = parse_curve(args.curve, order=MonomialOrder(args.order),
-                             max_steps=args.max_steps)
-        doc = {"status": "ok", "command": args.command, "curve": curve.describe(),
-               **_RUNNERS[args.command](args, curve)}
+        with StepBudget(args.max_steps):
+            curve = parse_curve(args.curve, order=MonomialOrder(args.order))
+            doc = {"status": "ok", "command": args.command, "curve": curve.describe(),
+                   **_RUNNERS[args.command](args, curve)}
         code = 0 if doc["status"] == "ok" else 1
     except (BracketDecError, ValueError) as exc:
         # any other ValueError is reported as the base error type is

@@ -14,9 +14,8 @@ vector field tau:
 
 Elements are kept in canonical form (normal form modulo the curve ideal,
 or numerator/denominator in lowest terms), so equality is structural.  The
-reductions are groebner's and poly's entries; each call gets a fresh
-StepBudget of the curve's max_steps, and this module reads no polynomial's
-terms.
+reductions are groebner's and poly's entries, which spend the run's step
+budget; this module reads no polynomial's terms and builds no budget.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .errors import (
     ZeroTau,
 )
 from .groebner import (
-    DEFAULT_MAX_STEPS,
     MembershipCertificate,
     buchberger,
     normal_form,
@@ -47,7 +45,6 @@ from .groebner import (
 from .poly import (
     MonomialOrder,
     Poly,
-    StepBudget,
     _divide_out,
     _parse_quotient,
     _Record,
@@ -67,7 +64,7 @@ class Curve:
 
     Each model defines reduce(p), the canonical element of p, and
     describe().  A curve equals one of its own model with the same _key,
-    its defining data; max_steps is not part of it.
+    its defining data.
     """
 
     order: MonomialOrder = MonomialOrder.LEX
@@ -83,8 +80,7 @@ class Curve:
     def _reduce_products(self, pairs) -> RingElem:
         """The element sum(a * b for a, b in pairs) of polynomials already in
         the ring, reduced modulo the curve's basis, never empty; AffineLine overrides this."""
-        return RingElem(self, _remainder(pairs, self.gb.basis, self.gb.order,
-                                         StepBudget(self.max_steps)))
+        return RingElem(self, _remainder(pairs, self.gb.basis, self.gb.order))
 
     def zero(self):
         return self.reduce(Poly.zero())
@@ -231,20 +227,16 @@ class LocalizedLine(Curve):
     """The affine line with the zero set of a fixed denominator removed.
 
     Coordinate ring Q[x][1/f]; the trivializing field is still d/dx, so the
-    line's unit certificate serves here too.  max_steps bounds the division
-    steps of each element's lowest-terms reduction and of parsing each
-    element's denominator.
+    line's unit certificate serves here too.
     """
 
     variables = ("x",)
     _noun = "line"
 
-    def __init__(self, denominator: Poly, *, max_steps: int = DEFAULT_MAX_STEPS):
+    def __init__(self, denominator: Poly):
         if self._member(denominator).is_constant():
             raise ValidationError("localization denominator must be nonconstant")
         self.denominator = denominator
-        StepBudget(max_steps)  # refuses a budget that is not an integer
-        self.max_steps = max_steps
         self._key = (denominator,)
 
     def elem(self, numerator: Poly, exponent: int = 0) -> LocalizedElem:
@@ -258,8 +250,7 @@ class LocalizedLine(Curve):
             raise ValueError("denominator exponent must be nonnegative")
         if self._member(numerator).is_zero():
             return LocalizedElem(self, numerator, 0)
-        numerator, j = _divide_out(numerator, self.denominator, exponent,
-                                   StepBudget(self.max_steps))
+        numerator, j = _divide_out(numerator, self.denominator, exponent)
         return LocalizedElem(self, numerator, exponent - j)
 
     @property
@@ -275,7 +266,7 @@ class LocalizedLine(Curve):
         if den is None:
             return self.reduce(num)
         # a den outside Q[x] is no c * f^m, and is not divided
-        den, m = (_divide_out(den, self.denominator, inf, StepBudget(self.max_steps))
+        den, m = (_divide_out(den, self.denominator, inf)
                   if den.uses_only(self.variables) else (den, 0))
         if not den.is_constant():
             raise ParseError(
@@ -308,29 +299,25 @@ class PlaneCurve(Curve):
     variables = ("x", "y")
     _noun = "plane curve"
 
-    def __init__(self, equation: Poly, *,
-                 order: MonomialOrder = MonomialOrder.LEX,
-                 max_steps: int = DEFAULT_MAX_STEPS):
+    def __init__(self, equation: Poly, *, order: MonomialOrder = MonomialOrder.LEX):
         if self._member(equation).is_constant():
             raise ValidationError("plane curve equation must be nonconstant")
         F_x, F_y = partial_derivative(equation, "x"), partial_derivative(equation, "y")
-        cert = unit_certificate((equation, F_x, F_y), order, max_steps)
+        cert = unit_certificate((equation, F_x, F_y), order)
         if cert is None:
             raise NotSmooth(f"the Jacobian ideal of {equation} is not the unit ideal")
         self.equation = equation
         self.smooth_cert = cert
         self.tau_components = (F_y, -F_x)
         self.order = order
-        self.max_steps = max_steps
         self._key = (equation, order)
-        self.gb = buchberger([equation], order, max_steps)
+        self.gb = buchberger([equation], order)
         a, b, c = cert.cofactors
         self.unit_cert = MembershipCertificate(
             Poly.one(), self.tau_components + (equation,), (c, -b, a))
 
     def reduce(self, p: Poly) -> RingElem:
-        return RingElem(self, normal_form(self._member(p), self.gb,
-                                          StepBudget(self.max_steps)))
+        return RingElem(self, normal_form(self._member(p), self.gb))
 
     def decomposition_basis(self) -> MembershipCertificate:
         """The stored unit certificate 1 = c_P P + c_Q Q + c_F F."""
@@ -357,8 +344,7 @@ class SpaceCurve(Curve):
     variables = ("x", "y", "z")
 
     def __init__(self, generators: Sequence[Poly], tau_components: Sequence[Poly], *,
-                 order: MonomialOrder = MonomialOrder.LEX,
-                 max_steps: int = DEFAULT_MAX_STEPS):
+                 order: MonomialOrder = MonomialOrder.LEX):
         gens = tuple(generators)
         if not gens or all(g.is_zero() for g in gens):
             raise ValidationError("curve ideal needs a nonzero generator")
@@ -370,23 +356,22 @@ class SpaceCurve(Curve):
         self.generators = gens
         self.tau_components = comps
         self.order = order
-        self.max_steps = max_steps
         self._key = (gens, comps, order)
-        self.gb = buchberger(list(gens), order, max_steps)
+        self.gb = buchberger(list(gens), order)
         for g in gens:
             if not self.reduce(apply_derivation(comps, g)).is_zero():
                 raise DoesNotPreserveIdeal(
                     f"tau maps {g} outside the curve ideal")
         if all(self.reduce(c).is_zero() for c in comps):
             raise ZeroTau("tau vanishes identically on the curve")
-        cert = unit_certificate(comps + gens, order, max_steps)
+        cert = unit_certificate(comps + gens, order)
         if cert is None:
             raise UnitCertificateAbsent(
                 "tau components do not generate the unit ideal modulo the curve")
         self.unit_cert = cert
 
     def reduce(self, p: Poly) -> RingElem:
-        return RingElem(self, normal_form(p, self.gb, StepBudget(self.max_steps)))
+        return RingElem(self, normal_form(p, self.gb))
 
     def decomposition_basis(self) -> MembershipCertificate:
         """The stored unit certificate 1 = c_P P + c_Q Q + c_R R + sum c_j g_j."""
@@ -406,9 +391,7 @@ make_space_curve = SpaceCurve
 _SPACE_TAU_RE = re.compile(r"\btau\b")
 
 
-def parse_curve(text: str, *,
-                order: MonomialOrder = MonomialOrder.LEX,
-                max_steps: int = DEFAULT_MAX_STEPS) -> Curve:
+def parse_curve(text: str, *, order: MonomialOrder = MonomialOrder.LEX) -> Curve:
     """Parse a curve description.
 
     Grammar: `line` | `line minus <f>` | `plane <F>` |
@@ -416,22 +399,20 @@ def parse_curve(text: str, *,
     `line minus <f>` has a repeated root, since its squarefree part defines
     the same open set.
     """
-    StepBudget(max_steps)  # refuses a budget that is not an integer, line included
     s = text.strip()
     if s == "line":
         return AffineLine()
     if s.startswith("line minus "):
-        line = LocalizedLine(parse_poly(s[len("line minus "):]), max_steps=max_steps)
+        line = LocalizedLine(parse_poly(s[len("line minus "):]))
         f = line.denominator
-        if not gcd_univariate(f, partial_derivative(f, "x"),
-                              StepBudget(max_steps)).is_constant():
+        if not gcd_univariate(f, partial_derivative(f, "x")).is_constant():
             warnings.warn(
                 "localization denominator has a repeated root; "
                 "its squarefree part defines the same ring",
                 stacklevel=2)
         return line
     if s.startswith("plane "):
-        return PlaneCurve(parse_poly(s[len("plane "):]), order=order, max_steps=max_steps)
+        return PlaneCurve(parse_poly(s[len("plane "):]), order=order)
     if s.startswith("space "):
         rest = s[len("space "):]
         parts = _SPACE_TAU_RE.split(rest)
@@ -445,5 +426,5 @@ def parse_curve(text: str, *,
             raise ParseError("tau clause needs exactly three components")
         gens = [parse_poly(t) for t in gen_texts]
         comps = [parse_poly(t) for t in comp_texts]
-        return SpaceCurve(gens, comps, order=order, max_steps=max_steps)
+        return SpaceCurve(gens, comps, order=order)
     raise ParseError(f"unrecognized curve description: {text!r}")

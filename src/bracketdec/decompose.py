@@ -151,10 +151,10 @@ def localize_decomp(decomp: BracketDecomp, denominator: Poly, k: int,
 
 
 def _localize(decomp: BracketDecomp, line: LocalizedLine, k: int, trace: bool) -> tuple:
-    """(target, decomposition) of localize_decomp on line, under its step budget.
+    """(target, decomposition) of localize_decomp on line.
 
-    The target g / f^(2k) is reduced before the pairs, so a budget that
-    cannot reduce it stops the run before any pair is localized.
+    The target g / f^(2k) is reduced before the pairs, so a run's budget
+    that cannot reduce it stops the run before any pair is localized.
     """
     if not isinstance(decomp.curve, AffineLine):
         raise CurveMismatch("localize_decomp expects a decomposition on the line")

@@ -32,9 +32,8 @@ from .poly import (
     _remainder,
     _sum_of_products,
     divide_multivariate,
+    run_budget,
 )
-
-DEFAULT_MAX_STEPS = 1_000_000
 
 
 class GroebnerBasis(_Record):
@@ -104,7 +103,7 @@ def _monic_remainder(p: Poly, base, divisors: list, rows: list, order: MonomialO
 
 def buchberger(generators: Sequence[Poly],
                order: MonomialOrder = MonomialOrder.LEX,
-               max_steps: int = DEFAULT_MAX_STEPS) -> GroebnerBasis:
+               max_steps: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the generators' ideal, with cofactors.
 
     Each element joining the basis, generators included, updates the pair
@@ -119,12 +118,12 @@ def buchberger(generators: Sequence[Poly],
     smallest lcm first (ties by index), every reduction goes through the
     shared division routine, and a cofactor row is built only for a
     nonzero remainder, so the output is deterministic.  Raises
-    StepBudgetExceeded once max_steps reduction steps are spent.
+    StepBudgetExceeded once max_steps reduction steps, or run_budget(), are spent.
     """
     gens = tuple(generators)
     if not gens:
         raise ValueError("generators must be nonempty")
-    budget = StepBudget(max_steps)
+    budget = run_budget() if max_steps is None else StepBudget(max_steps)
     ngen = len(gens)
 
     polys: list[Poly] = []
@@ -210,9 +209,7 @@ def normal_form(p: Poly, gb: GroebnerBasis, budget: StepBudget | None = None) ->
     return _remainder(((p, Poly.one()),), gb.basis, gb.order, budget) if gb.rows else p
 
 
-def certificate_from_basis(target: Poly, gb: GroebnerBasis,
-                           budget: StepBudget | None = None
-                           ) -> MembershipCertificate | None:
+def certificate_from_basis(target: Poly, gb: GroebnerBasis) -> MembershipCertificate | None:
     """Membership certificate for target using a precomputed basis.
 
     Returns None when target is not in the ideal.  Cofactors are expressed
@@ -224,7 +221,7 @@ def certificate_from_basis(target: Poly, gb: GroebnerBasis,
         return MembershipCertificate(target, gb.generators, zeros)
     if not gb.rows:
         return None
-    quotients, rem = divide_multivariate(target, list(gb.basis), gb.order, budget)
+    quotients, rem = divide_multivariate(target, list(gb.basis), gb.order)
     if not rem.is_zero():
         return None
     cofs = tuple(_sum_of_products((q, row.cofactors[t]) for q, row in zip(quotients, gb.rows))
@@ -232,13 +229,13 @@ def certificate_from_basis(target: Poly, gb: GroebnerBasis,
     return MembershipCertificate(target, gb.generators, cofs)
 
 
-def unit_certificate(generators: Sequence[Poly], order: MonomialOrder,
-                     max_steps: int) -> MembershipCertificate | None:
+def unit_certificate(generators: Sequence[Poly],
+                     order: MonomialOrder) -> MembershipCertificate | None:
     """The certificate 1 = sum(c_j * g_j) over the generators, or None.
 
     None means the generators' ideal is proper.  The reduced basis of the
     unit ideal is exactly (1,), so its one row already is the certificate,
     checked when buchberger built it: no division and no second check.
     """
-    gb = buchberger(generators, order, max_steps)
+    gb = buchberger(generators, order)
     return gb.rows[0] if gb.basis == (Poly.one(),) else None

@@ -7,8 +7,9 @@ lexicographic order.  A monomial x^a y^b z^c is the int a | b << 64 | c << 128,
 so int order is LEX order; the public names give and take exponent triples.
 
 Only this module knows how terms and coefficients are stored, and only it
-spends step budgets: the other modules pass a StepBudget to its entries, and
-the parser bounds its own work with one, so one class counts every bound.
+spends step budgets: its entries spend the run's StepBudget, which a
+`with StepBudget(n):` block sets, and the parser bounds its own work with
+one, so one class counts every bound.
 Sums and differences, the parser's too, go through one signed sum; products,
 and sums of products such as S-polynomials, cofactor rows and certificate
 identities, through one kernel that multiplies integer numerators over a
@@ -37,6 +38,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Sequence
+from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -507,11 +509,16 @@ def _derivation_pairs(components: Sequence[Poly], p: Poly) -> list:
 # -- division ---------------------------------------------------------------
 
 
+DEFAULT_MAX_STEPS = 1_000_000
+_RUN_BUDGET: ContextVar = ContextVar("bracketdec_run_budget", default=None)
+
+
 class StepBudget:
     """Countdown of steps shared across a computation; spent past zero, it
-    raises StepBudgetExceeded with its message."""
+    raises StepBudgetExceeded with its message.  Inside `with StepBudget(n):`
+    it is run_budget(), so n bounds the whole run; blocks nest and re-enter."""
 
-    __slots__ = ("remaining", "message")
+    __slots__ = ("remaining", "message", "_tokens")
 
     def __init__(self, limit: int, message: str = "reduction step budget exhausted"):
         try:
@@ -519,11 +526,24 @@ class StepBudget:
         except TypeError:
             raise ValueError(f"step budget must be an integer, not {limit!r}") from None
         self.message = message
+        self._tokens = []
 
     def spend(self, steps: int = 1) -> None:
         self.remaining -= steps
         if self.remaining < 0:
             raise StepBudgetExceeded(self.message)
+
+    def __enter__(self) -> "StepBudget":
+        self._tokens.append(_RUN_BUDGET.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _RUN_BUDGET.reset(self._tokens.pop())
+
+
+def run_budget() -> StepBudget:
+    """The innermost `with StepBudget(n):` block's, else StepBudget(DEFAULT_MAX_STEPS)."""
+    return _RUN_BUDGET.get() or StepBudget(DEFAULT_MAX_STEPS)
 
 
 def _division_heads(divisors: Sequence[Poly], order: MonomialOrder) -> list:
@@ -548,8 +568,9 @@ def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | N
     """
     lex = order is MonomialOrder.LEX
     rem: dict = {}
+    budget = budget or run_budget()
     # the budget counts down in a local, written back when the loop ends
-    left = inf if budget is None else budget.remaining
+    left = budget.remaining
     # negated order keys, so the least pops first; a GRLEX key ends in m
     heap = [-m if lex else -_mono_key(m, order) for m in acc]
     heapify(heap)
@@ -586,13 +607,12 @@ def _divide(acc: dict, heads: list, order: MonomialOrder, budget: StepBudget | N
                 break
         else:
             rem[lm] = lc
-    if budget is not None:
-        budget.remaining = left
+    budget.remaining = left
     return rem
 
 
 def _remainder(pairs: Iterable, divisors: Sequence[Poly], order: MonomialOrder,
-               budget: StepBudget | None) -> Poly:
+               budget: StepBudget | None = None) -> Poly:
     """The remainder of divide_multivariate for the dividend
     sum(a * b for a, b in pairs) and nonzero divisors, with the same steps
     and no quotient built: the division starts from the product kernel's
@@ -611,7 +631,7 @@ def divide_multivariate(p: Poly, divisors: Sequence[Poly],
     divisible by any divisor's leading monomial.  Each step reduces by the
     earliest-listed divisor whose leading monomial divides the current
     leading term, so the result is deterministic in the divisor order.
-    Every leading term processed spends one step of budget.
+    Every leading term processed spends a step of budget or run_budget().
 
     The dividend is kept as a {monomial: coefficient} dict with a heap of
     its monomials (heap division, Monagan & Pearce 2007), so a step costs
@@ -697,19 +717,22 @@ def gcd_univariate(p: Poly, q: Poly, budget: StepBudget | None = None) -> Poly:
     not: any common factor of p and q over Q, made primitive in Z[x],
     divides the primitive part of p in Z[x] (Gauss's lemma), so P does not
     divide its leading coefficient, and its image keeps its degree and
-    divides both images.  Each division of Euclid over Q spends its steps
-    of budget.
+    divides both images.  Each division, modulo P or over Q, spends its
+    nonzero quotient and remainder terms of budget or run_budget().
     """
     for item in (p, q):
         if not item.uses_only(("x",)):
             raise ValueError("gcd_univariate needs polynomials in x only")
+    budget = budget or run_budget()
     if p and q:
         a, b = _residues(p), _residues(q)
         if a is not None and b is not None and a[-1]:
             while b and not b[-1]:
                 b.pop()  # P may divide lc(q)
             while b:
-                a, b = b, _divide_mod_p(a, b)[1]
+                nq, rem = _divide_mod_p(a, b)
+                budget.spend(nq + sum(1 for c in rem if c))
+                a, b = b, rem
             if len(a) == 1:
                 return _ONE
     a, b = p, q
@@ -724,16 +747,16 @@ def gcd_univariate(p: Poly, q: Poly, budget: StepBudget | None = None) -> Poly:
 # -- lowest terms on a localized line -----------------------------------------
 
 
-def _divide_out(p: Poly, f: Poly, most, budget: StepBudget) -> tuple:
+def _divide_out(p: Poly, f: Poly, most, budget: StepBudget | None = None) -> tuple:
     """(p / f^j, j) for the largest j <= most such that f^j divides p.
 
     The lowest-terms reduction of Q[x][1/f], for a nonconstant f in x: one
     trial division of p by f per power divided out, and a failing one that
     ends the loop unless j reaches most or p a constant.  A constant p, zero
     included, is never divided, since the nonconstant f divides no nonzero
-    constant.  Every trial charges budget what divide_multivariate(p, [f])
-    spends, one step per nonzero quotient and remainder term, even where
-    that division does not run:
+    constant.  Every trial charges budget or run_budget() what
+    divide_multivariate(p, [f]) spends, one step per nonzero quotient and
+    remainder term, even where that division does not run:
 
     * A one-term f = c x^e divides p exactly min(most, e_min // e) times,
       e_min the least x exponent in p, so those trials are charged first,
@@ -745,6 +768,7 @@ def _divide_out(p: Poly, f: Poly, most, budget: StepBudget) -> tuple:
       P, the exact count unless an exact one is a nonzero multiple of P.
     * Any other trial runs the exact division, so every j kept is exact.
     """
+    budget = budget or run_budget()
     if len(f._terms) == 1:  # in x alone, a monomial is its exponent
         (e, c), = f._terms
         terms = p._terms

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bracketdec.cli import main
-from bracketdec.poly import MAX_PARSE_COST
+from bracketdec.poly import DEFAULT_MAX_STEPS, MAX_PARSE_COST, run_budget
 
 _BASE = [sys.executable, "-m", "bracketdec.cli"]
 
@@ -102,6 +102,28 @@ def test_step_budget_exits_4():
     assert code == 4 and doc["error"]["code"] == "step_budget_exceeded"
 
 
+# no single reduction of this run spends more than 353 steps, but together
+# the certificates, the curve's basis and the target's reductions spend 1,311
+_RUN_WIDE = ["decompose", "--curve", "plane x^6 + y^6 + 2x^3y + x + y + 1",
+             "--target", "x^7 y^3 + 3x^2 - y^5"]
+
+
+def _main_exit(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def test_max_steps_bounds_the_whole_run():
+    assert [_main_exit(_RUN_WIDE + ["--max-steps", str(n)]) for n in (1311, 1310, 500)] \
+        == [0, 4, 4]
+
+
+def test_in_process_runs_do_not_share_a_budget():
+    # each main call makes its own budget and leaves none behind
+    assert [_main_exit(_RUN_WIDE + ["--max-steps", "1311"]) for _ in range(3)] == [0, 0, 0]
+    assert run_budget().remaining == DEFAULT_MAX_STEPS
+
+
 def test_negative_max_steps_exits_2():
     # rejected before the curve is parsed, so on every curve, even a bad one
     for curve in ("line", "line minus x", "plane y^2 - x^3 - x",
@@ -171,7 +193,7 @@ def test_repeated_root_check_of_long_denominator_finishes():
     # the coefficients of this degree-120 f grow until it takes minutes
     rng = random.Random(1)
     f = " + ".join(f"{rng.randint(1, 9)} x^{i}" for i in range(121))
-    proc = subprocess.run(_BASE + ["check", "--curve", f"line minus {f}", "--max-steps", "10"],
+    proc = subprocess.run(_BASE + ["check", "--curve", f"line minus {f}"],
                           capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0 and json.loads(proc.stdout)["curve"]["variant"] == "line_minus"
 
@@ -189,6 +211,18 @@ def test_repeated_root_euclid_is_bounded_exits_4():
     doc = json.loads(proc.stdout)
     assert proc.returncode == 4 and doc["error"]["code"] == "step_budget_exceeded"
     assert "Traceback" not in proc.stderr
+
+
+def test_dense_denominator_of_degree_5000_exits_4_at_once():
+    # the Euclid modulo P of this f ran 7.8-10.5 s uncharged under --max-steps 10
+    rng = random.Random(1)
+    f = " + ".join(f"{rng.randint(1, 9)} x^{i}" for i in range(5001))
+    out = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["check", "--curve", f"line minus {f}", "--max-steps", "10"])
+    assert (code, json.loads(out.getvalue())["error"]["code"]) == (4, "step_budget_exceeded")
+    assert time.perf_counter() - start < 2
 
 
 def _localize_exit(pairs: str):
@@ -451,7 +485,7 @@ def _cli_args(command, curve, target, pairs, k, max_steps):
 @example(command="verify", curve="line", target="--", pairs="--", k=0, max_steps=0)
 @given(command=st.sampled_from(["check", "decompose", "localize", "verify"]),
        curve=_CURVE, target=_TEXT, pairs=_TEXT, k=st.integers(0, 3),
-       max_steps=st.integers(0, 5000))
+       max_steps=st.one_of(st.integers(0, 5000), st.sampled_from([0, 1, 10**18])))
 def test_cli_main_random_text(command, curve, target, pairs, k, max_steps):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):

@@ -34,7 +34,8 @@ def test_corpus_covers_every_exit_and_error_code():
 
 
 def test_budget_edges_are_the_smallest_budgets():
-    # each path of the lowest-terms reduction succeeds at its listed budget
+    # each path of the lowest-terms reduction, and a plane run whose calls
+    # each fit in far less, succeeds at its listed budget for the whole run
     # and runs out one step below it
     for argv, steps in cli_corpus._BUDGET_EDGES:
         exits = [cli_corpus.run_case(cli.main, argv + ["--max-steps", str(n)])["exit"]

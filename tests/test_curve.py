@@ -1,9 +1,11 @@
 import copy
+import io
 import pickle
 import random
 import time
 import warnings
 from fractions import Fraction
+from contextlib import redirect_stderr, redirect_stdout
 from math import inf, prod
 from unittest import mock
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracketdec import cli
 from bracketdec import curve as curve_module
 from bracketdec import poly as poly_module
 from bracketdec.curve import (
@@ -189,22 +192,26 @@ def test_ring_elem_arithmetic_is_homomorphic(rand_poly):
 _MODELS = ("line", "line minus", "plane", "space")
 
 
-def _curve(model, order=MonomialOrder.LEX, max_steps=10_000):
+def _curve(model, order=MonomialOrder.LEX):
     if model == "line":
         return AffineLine()
     if model == "line minus":
-        return LocalizedLine(parse_poly("x^2 - 1"), max_steps=max_steps)
+        return LocalizedLine(parse_poly("x^2 - 1"))
     if model == "plane":
-        return PlaneCurve(parse_poly("y^2 - x^3 - x"), order=order, max_steps=max_steps)
+        return PlaneCurve(parse_poly("y^2 - x^3 - x"), order=order)
     return SpaceCurve([parse_poly("y - x^2"), parse_poly("z - x^3")],
                       [parse_poly("1"), parse_poly("2x"), parse_poly("3x^2")],
-                      order=order, max_steps=max_steps)
+                      order=order)
 
 
 def test_curve_equality_includes_order():
-    # a curve is its model and its defining data; the step budget is not
+    # a curve is its model and its defining data; the run's step budget is not
     for model in _MODELS:
-        a, b, c = _curve(model), _curve(model), _curve(model, max_steps=50_000)
+        a = _curve(model)
+        with StepBudget(10_000):
+            b = _curve(model)
+        with StepBudget(50_000):
+            c = _curve(model)
         assert a == b == c and hash(a) == hash(b) == hash(c) and repr(a) == repr(c)
         assert all(a != _curve(other) for other in _MODELS if other != model)
         if model in ("plane", "space"):
@@ -313,17 +320,22 @@ def test_localized_line_validation():
 
 @pytest.mark.parametrize("max_steps", [2.5, "7", 7.0])
 def test_every_curve_refuses_a_step_budget_that_is_not_an_integer(max_steps):
-    # the line never spends its budget and the localized line spends it
-    # only in elem, yet both refuse it when built, as the other curves do
-    constructors = [lambda: parse_curve("line", max_steps=max_steps),
-                    lambda: parse_curve("line minus x", max_steps=max_steps),
-                    lambda: LocalizedLine(parse_poly("x"), max_steps=max_steps),
-                    lambda: parse_curve("plane y^2 - x^3 - x", max_steps=max_steps),
-                    lambda: parse_curve("space y - x^2; z - x^3 tau 1, 2x, 3x^2",
-                                        max_steps=max_steps)]
-    for build in constructors:
-        with pytest.raises(ValueError, match="step budget must be an integer"):
-            build()
+    # a run's budget is refused when it is made, before any curve is read,
+    # and so is buchberger's own; the CLI reads --max-steps as an integer,
+    # so "7" is 7 there, and a float is an argparse error on every curve
+    with pytest.raises(ValueError, match="step budget must be an integer"):
+        StepBudget(max_steps)
+    with pytest.raises(ValueError, match="step budget must be an integer"):
+        buchberger([parse_poly("x")], max_steps=max_steps)
+    for curve in ("line", "line minus x", "plane y^2 - x^3 - x",
+                  "space y - x^2; z - x^3 tau 1, 2x, 3x^2"):
+        argv = ["check", "--curve", curve, "--max-steps", str(max_steps)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code == (0 if max_steps == "7" else 2), argv
 
 
 def test_localized_elem_normalization():
@@ -335,7 +347,7 @@ def test_localized_elem_normalization():
         with pytest.raises(ValueError, match="must be an integer"):
             line.elem(parse_poly("x + 1"), exponent)
     with pytest.raises(ValueError, match="step budget must be an integer"):
-        PlaneCurve(parse_poly("y^2 - x^3 - x"), max_steps="7")
+        StepBudget("7")
     e = line.elem(parse_poly("x^3"), 2)
     assert e.numerator == parse_poly("x") and e.exponent == 0
     e = line.elem(parse_poly("x^2 + x"), 1)
@@ -410,7 +422,8 @@ def test_localized_linear_operations_do_not_divide(monkeypatch):
 
 def test_localized_constant_numerator_is_not_divided():
     # a nonconstant f cannot divide a constant, so no step is spent
-    e = LocalizedLine(parse_poly("x"), max_steps=0).elem(Poly.one(), 3)
+    with StepBudget(0):
+        e = LocalizedLine(parse_poly("x")).elem(Poly.one(), 3)
     assert e.numerator == Poly.one() and e.exponent == 3
 
 
@@ -456,8 +469,8 @@ def test_localized_parse_element():
     # a denominator in y is no c * f^m, whatever its terms in x, and is
     # refused before any trial division spends a step
     for line, text in ((line, "1 / ((x^2 - 1)(y + x))"),
-                       (LocalizedLine(parse_poly("x"), max_steps=0), "1 / y")):
-        with pytest.raises(ParseError, match="constant multiple of a power"):
+                       (LocalizedLine(parse_poly("x")), "1 / y")):
+        with StepBudget(0), pytest.raises(ParseError, match="constant multiple of a power"):
             line.parse_element(text)
 
 
@@ -485,8 +498,7 @@ def _reference_parse_element(line, text):
     if split is None:
         return line.reduce(parse_poly(text))
     num = parse_poly(split[0])
-    den, m = _divide_out(parse_poly(split[1]), line.denominator, inf,
-                         StepBudget(line.max_steps))
+    den, m = _divide_out(parse_poly(split[1]), line.denominator, inf)
     if not den.is_constant():
         raise ParseError("element denominator must be a constant multiple of a power "
                          f"of the localization denominator ({line.denominator})")
@@ -603,12 +615,12 @@ def _numerators(draw, f):
     return p
 
 
-def _divide_out_unfiltered(line, p, most):
+def _divide_out_unfiltered(f, p, most, max_steps):
     """The lowest-terms loop with an exact division for every trial."""
-    budget = StepBudget(line.max_steps)
+    budget = StepBudget(max_steps)
     j = 0
     while j < most and not p.is_constant():
-        quotients, rem = divide_multivariate(p, [line.denominator], budget=budget)
+        quotients, rem = divide_multivariate(p, [f], budget=budget)
         if not rem.is_zero():
             break
         p = quotients[0]
@@ -629,14 +641,13 @@ def _outcome(run):
 def test_filtered_divide_out_matches_exact_loop(data, f, most, max_steps):
     # the mod-P reject keeps every quotient, every j and the remaining budget
     p = data.draw(_numerators(f))
-    line = LocalizedLine(f, max_steps=max_steps)
 
     def filtered():
-        budget = StepBudget(max_steps)
-        q, j = _divide_out(p, f, most, budget)
+        with StepBudget(max_steps) as budget:
+            q, j = _divide_out(p, f, most)
         return q, j, budget.remaining
 
-    assert _outcome(filtered) == _outcome(lambda: _divide_out_unfiltered(line, p, most))
+    assert _outcome(filtered) == _outcome(lambda: _divide_out_unfiltered(f, p, most, max_steps))
 
 
 def _count_exact_divisions(monkeypatch) -> list:
@@ -664,7 +675,7 @@ def test_divide_out_defers_to_exact_division(monkeypatch, f, p, most, exact, j):
     line = LocalizedLine(parse_poly(f))
     calls = _count_exact_divisions(monkeypatch)
     num = parse_poly(p)
-    q, got = _divide_out(num, line.denominator, most, StepBudget(line.max_steps))
+    q, got = _divide_out(num, line.denominator, most)
     assert (len(calls), got) == (exact, j)
     assert q * line.denominator ** j == num
 
@@ -676,9 +687,11 @@ def test_divide_out_defers_to_exact_division(monkeypatch, f, p, most, exact, j):
     ("x^3 + 1", "x^2 - 4", 2),
 ])
 def test_mod_p_reject_charges_the_exact_steps(f, p, steps):
-    assert LocalizedLine(parse_poly(f), max_steps=steps).elem(parse_poly(p), 1).exponent == 1
-    with pytest.raises(StepBudgetExceeded):
-        LocalizedLine(parse_poly(f), max_steps=steps - 1).elem(parse_poly(p), 1)
+    line = LocalizedLine(parse_poly(f))
+    with StepBudget(steps):
+        assert line.elem(parse_poly(p), 1).exponent == 1
+    with StepBudget(steps - 1), pytest.raises(StepBudgetExceeded):
+        line.elem(parse_poly(p), 1)
 
 
 # -- the repeated-root check of line minus f ------------------------------------------
@@ -713,14 +726,30 @@ def test_repeated_root_check_modulo_p(monkeypatch, f, warns, exact):
 
 
 def test_repeated_root_check_of_degree_300_is_fast():
-    # Euclid over Q on this dense f took 15.6 s; modulo P it takes milliseconds
+    # Euclid over Q on this dense f took 15.6 s; modulo P it takes
+    # milliseconds, and the run's budget pays for it
     rng = random.Random(1)
     f = " + ".join(f"{rng.randint(1, 9)} x^{i}" for i in range(301))
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        parse_curve(f"line minus {f}", max_steps=10)
+        parse_curve(f"line minus {f}")
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("degree, steps", [(300, 45_450), (1_400, 982_100)])
+def test_repeated_root_check_modulo_p_spends_the_budget(degree, steps):
+    # each division modulo P spends its nonzero quotient and remainder
+    # terms, about degree^2 / 2 in all, so a dense f of degree above about
+    # 1,410 exceeds the default budget of 1,000,000
+    rng = random.Random(1)
+    f = parse_poly(" + ".join(f"{rng.randint(1, 9)} x^{i}" for i in range(degree + 1)))
+    f_x = partial_derivative(f, "x")
+    with StepBudget(steps) as budget:
+        assert gcd_univariate(f, f_x) == Poly.one()
+    assert budget.remaining == 0
+    with StepBudget(steps - 1), pytest.raises(StepBudgetExceeded):
+        gcd_univariate(f, f_x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -739,20 +768,25 @@ def test_repeated_root_check_matches_euclid(f):
 # -- curve grammar -------------------------------------------------------------------
 
 def test_reductions_spend_the_step_budget():
-    # each reduction gets its own budget of the curve's max_steps
+    # every reduction spends the run's budget, which no call renews:
     # y^40 takes 231 steps modulo y^2 - x^3 - x, z^40 takes 41 on the
     # twisted cubic
-    plane = parse_curve("plane y^2 - x^3 - x", max_steps=231)
-    assert plane.reduce(parse_poly("y^40")) == plane.reduce(parse_poly("y^40"))
-    with pytest.raises(StepBudgetExceeded):
+    plane = parse_curve("plane y^2 - x^3 - x")
+    with StepBudget(231) as budget:
+        y40 = plane.reduce(parse_poly("y^40"))
+        assert budget.remaining == 0
+        with pytest.raises(StepBudgetExceeded):
+            plane.reduce(parse_poly("y^40"))
+    assert plane.reduce(parse_poly("y^40")) == y40
+    with StepBudget(231), pytest.raises(StepBudgetExceeded):
         plane.reduce(parse_poly("y^42"))
-    space = parse_curve("space y - x^2; z - x^3 tau 1, 2x, 3x^2", max_steps=40)
-    with pytest.raises(StepBudgetExceeded):
+    space = parse_curve("space y - x^2; z - x^3 tau 1, 2x, 3x^2")
+    with StepBudget(40), pytest.raises(StepBudgetExceeded):
         space.reduce(parse_poly("z^40"))
-    line = parse_curve("line minus x + 1", max_steps=50)
-    assert line.max_steps == 50
-    assert line.elem(parse_poly("(x + 1)^3"), 2).exponent == 0
-    with pytest.raises(StepBudgetExceeded):
+    line = parse_curve("line minus x + 1")
+    with StepBudget(50):
+        assert line.elem(parse_poly("(x + 1)^3"), 2).exponent == 0
+    with StepBudget(50), pytest.raises(StepBudgetExceeded):
         line.elem(parse_poly("x^60"), 1)
 
 

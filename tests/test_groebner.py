@@ -15,7 +15,6 @@ from bracketdec.errors import (
     ValidationError,
 )
 from bracketdec.groebner import (
-    DEFAULT_MAX_STEPS,
     GroebnerBasis,
     MembershipCertificate,
     buchberger,
@@ -217,12 +216,12 @@ def test_plane_smoothness_examples():
 
 def test_smoothness_certificate_contents():
     F = parse_poly("y^2 - x^3 - x")
-    cert = unit_certificate(_jacobian(F), LEX, DEFAULT_MAX_STEPS)
+    cert = unit_certificate(_jacobian(F), LEX)
     assert cert is not None
     assert cert.target == Poly.one()
     assert cert.generators == _jacobian(F)
     assert cert == PlaneCurve(F).smooth_cert
-    assert unit_certificate(_jacobian(parse_poly("y^2 - x^3")), LEX, DEFAULT_MAX_STEPS) is None
+    assert unit_certificate(_jacobian(parse_poly("y^2 - x^3")), LEX) is None
 
 
 # -- ideal preservation -----------------------------------------------------------
@@ -449,7 +448,7 @@ def test_unit_certificate_matches_sympy(order, rand_poly):
         gens = [rand_poly(rng, variables=("x", "y", "z"), max_degree=2, coeff_lo=-3,
                           coeff_hi=3, max_terms=3, nonzero=True)
                 for _ in range(rng.randint(2, 3))]
-        cert = unit_certificate(gens, order, DEFAULT_MAX_STEPS)
+        cert = unit_certificate(gens, order)
         unit = sympy.groebner([to_sympy(g) for g in gens], Z, Y, X, order=name).exprs == [1]
         assert (cert is not None) == unit, gens
         if cert is not None:

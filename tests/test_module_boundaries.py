@@ -6,9 +6,9 @@ helpers; every other module sees exponent triples.
 
 The other modules build and read polynomials through poly's public names,
 its one scalar rule and its division and product entry points, so a change
-of the storage format touches poly.py only, and they hand a StepBudget to
-those entry points without spending it.  These checks read the package
-sources with ast.
+of the storage format touches poly.py only; those entry points spend the
+run's StepBudget, which the other modules at most set with a `with` block
+and never spend.  These checks read the package sources with ast.
 """
 
 import ast

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bracketdec import poly as poly_module
 from bracketdec.errors import ParseError, StepBudgetExceeded
 from bracketdec.poly import (
+    DEFAULT_MAX_STEPS,
     MAX_NESTING,
     MAX_PARSE_COST,
     MonomialOrder,
@@ -25,6 +26,7 @@ from bracketdec.poly import (
     _sum_of_products,
     parse_poly,
     partial_derivative,
+    run_budget,
 )
 
 LEX = MonomialOrder.LEX
@@ -740,6 +742,58 @@ def test_divide_budget():
     with pytest.raises(StepBudgetExceeded):
         divide_multivariate(parse_poly("x^9 + x^8 + x^7 + x^6"),
                             [parse_poly("x")], LEX, budget)
+
+
+def test_run_budget_is_the_innermost_block():
+    # outside any block each call gets a fresh default budget
+    assert run_budget() is not run_budget()
+    assert run_budget().remaining == DEFAULT_MAX_STEPS
+    outer, inner = StepBudget(10), StepBudget(20)
+    with outer as entered:
+        assert entered is outer and run_budget() is outer
+        with inner:
+            assert run_budget() is inner
+            # the same budget entered again, inside a block of another
+            with outer:
+                assert run_budget() is outer
+                with outer:
+                    assert run_budget() is outer
+                assert run_budget() is outer
+            assert run_budget() is inner
+        assert run_budget() is outer
+    assert run_budget() not in (outer, inner)
+    # a block left by an exception leaves no budget active
+    with pytest.raises(StepBudgetExceeded):
+        with outer:
+            with inner:
+                inner.spend(21)
+    assert run_budget() not in (outer, inner)
+    assert run_budget().remaining == DEFAULT_MAX_STEPS
+
+
+def test_entries_without_a_budget_spend_the_run_budget():
+    # a division, a lowest-terms reduction and a gcd each spend from the
+    # one budget of the block, which no call renews
+    p, f = parse_poly("x^9 + x^8 + x^7 + x^6"), parse_poly("x + 1")
+    runs = (lambda budget: divide_multivariate(p, [f], LEX, budget),
+            lambda budget: poly_module._divide_out(p, f, 3, budget),
+            lambda budget: gcd_univariate(p, f, budget))
+    spent = []
+    for run in runs:
+        budget = StepBudget(100)
+        run(budget)
+        spent.append(100 - budget.remaining)
+        with StepBudget(100) as block:
+            run(None)
+        assert block.remaining == budget.remaining
+    assert all(spent)
+    with StepBudget(sum(spent)) as block:
+        for run in runs:
+            run(None)
+    assert block.remaining == 0
+    with StepBudget(sum(spent) - 1), pytest.raises(StepBudgetExceeded):
+        for run in runs:
+            run(None)
 
 
 # -- univariate gcd -----------------------------------------------------------

@@ -18,7 +18,7 @@ The cases, in order:
   literals and exponents at the bound of 2^63 among them, then cases for
   one-term powers, signs, rational cancellation, one-term localization
   denominators, and each path of the localized line's lowest-terms
-  reduction at its smallest budget;
+  reduction and one plane run at the smallest budget of the whole run;
 - every ``decompose`` and ``localize`` case of the lists above again with
   ``--trace``;
 - 400 argument lists drawn from ``random.Random(13)``.
@@ -149,13 +149,18 @@ ERROR_CASES = [
 # each path of the localized line's lowest-terms reduction, with the smallest
 # --max-steps that succeeds: a one-term f, the degree check, the reject modulo
 # P, an exact trial (p is sparse), and the exact trials that read an element's
-# denominator.  Each runs at that budget and at one below it.
+# denominator; then a plane run whose reductions each fit in 353 steps but
+# together spend 1,311.  The budget bounds the whole run (the repeated-root
+# check of f, every reduction and lowest-terms trial), so each edge is a
+# run's total.  Each runs at that budget and at one below it.
 _BUDGET_EDGES = [
-    (["decompose", "--curve", "line minus x", "--target", "(x^5 + 3) / x^3"], 4),
-    (["decompose", "--curve", "line minus x^3 + 1", "--target", "x^2 / (x^3 + 1)"], 4),
-    (["decompose", "--curve", "line minus x^2 + 1", "--target", "(x^3 + 2) / (x^2 + 1)^3"], 9),
-    (["decompose", "--curve", "line minus x + 1", "--target", "(x^30 + 2) / (x + 1)"], 37),
-    (["decompose", "--curve", "line minus x^2 + 1", "--target", "1 / (x^2 + 1)^5"], 15),
+    (["decompose", "--curve", "line minus x", "--target", "(x^5 + 3) / x^3"], 16),
+    (["decompose", "--curve", "line minus x^3 + 1", "--target", "x^2 / (x^3 + 1)"], 22),
+    (["decompose", "--curve", "line minus x^2 + 1", "--target", "(x^3 + 2) / (x^2 + 1)^3"], 49),
+    (["decompose", "--curve", "line minus x + 1", "--target", "(x^30 + 2) / (x + 1)"], 203),
+    (["decompose", "--curve", "line minus x^2 + 1", "--target", "1 / (x^2 + 1)^5"], 33),
+    (["decompose", "--curve", "plane x^6 + y^6 + 2x^3y + x + y + 1",
+      "--target", "x^7 y^3 + 3x^2 - y^5"], 1311),
 ]
 ERROR_CASES += [argv + ["--max-steps", str(n)]
                 for argv, steps in _BUDGET_EDGES for n in (steps, steps - 1)]
